@@ -1,7 +1,7 @@
 // Benchmark of the sharded serving tier (DESIGN.md §15).
 //
-// Solves one road graph into a kept file store, slices it into row-range
-// shards, and measures the same warm point/row batch through three serving
+// Solves one road graph, keeps it as a GAPSPZ1 store (the CLI's
+// --keep-store flow), slices it into row-range shards, and measures the same warm point/row batch through three serving
 // topologies: a single QueryEngine over the whole store, a ShardRouter over
 // in-process engines (one per shard), and a ShardRouter over forked worker
 // processes speaking the wire protocol. Every routed run is checked
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/apsp.h"
+#include "core/compressed_store.h"
 #include "core/shard_store.h"
 #include "graph/generators.h"
 #include "service/query_engine.h"
@@ -85,6 +86,7 @@ int main(int argc, char** argv) {
     auto store = core::make_file_store(n, store_path, /*keep_file=*/true);
     core::solve_apsp(g, opts, *store);
   }
+  core::compact_store(store_path, store_path);
   constexpr int kShards = 4;
   const auto manifest = core::shard_store_file(store_path, kShards, 256);
   std::cout << "solved n=" << n << ", sharded " << store_path << " into "
@@ -110,7 +112,7 @@ int main(int argc, char** argv) {
   qopt.cache_bytes = 16u << 20;
 
   // --- oracle: one engine over the whole store ---
-  const auto whole = core::open_file_store(store_path);
+  const auto whole = core::open_store(store_path);
   const service::QueryEngine single(*whole, qopt);
   single.run_batch(queries);  // cold fill
   const auto want = single.run_batch(queries);

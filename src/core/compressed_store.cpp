@@ -70,11 +70,12 @@ struct ZIndex {
 
 ZIndex read_index(std::FILE* f, const std::string& path) {
   ZIndex ix;
-  if (std::fread(&ix.h, sizeof(ix.h), 1, f) != 1) {
-    throw IoError(path + ": short read of GAPSPZ1 header");
-  }
-  if (std::memcmp(ix.h.magic, kZMagic, sizeof(kZMagic)) != 0) {
-    throw IoError(path + ": not a GAPSPZ1 store");
+  if (std::fread(&ix.h, sizeof(ix.h), 1, f) != 1 ||
+      std::memcmp(ix.h.magic, kZMagic, sizeof(kZMagic)) != 0) {
+    throw IoError(path +
+                  ": not a GAPSPZ1 store (a raw distance matrix? convert it "
+                  "with `apsp_cli compact --store-path " +
+                  path + "`)");
   }
   const std::int64_t n = ix.h.n;
   const std::int64_t tile = ix.h.tile;
@@ -374,7 +375,7 @@ CompressedDirectory read_compressed_directory(const std::string& path) {
   return dir;
 }
 
-std::unique_ptr<DistStore> open_compressed_store(const std::string& path) {
+std::unique_ptr<DistStore> open_store(const std::string& path) {
   File file(std::fopen(path.c_str(), "rb"));
   if (file.f == nullptr) {
     throw IoError("cannot open dist store file " + path);
@@ -382,11 +383,6 @@ std::unique_ptr<DistStore> open_compressed_store(const std::string& path) {
   ZIndex ix = read_index(file.f, path);
   return std::make_unique<CompressedStore>(std::move(ix), file.release(),
                                            path);
-}
-
-std::unique_ptr<DistStore> open_store(const std::string& path) {
-  return is_compressed_store(path) ? open_compressed_store(path)
-                                   : open_file_store(path);
 }
 
 }  // namespace gapsp::core

@@ -58,9 +58,11 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
                                             const std::string& out_path,
                                             vidx_t tile = 256);
 
-/// Compacts the raw kept store at `raw_path` into a GAPSPZ1 store at
-/// `out_path` (the same path compacts in place). Throws IoError when
-/// `raw_path` is already compressed or is not a square dist_t matrix.
+/// Compacts the raw matrix at `raw_path` — a checkpointed solve's leftover
+/// FileStore, or a kept store written by an older build — into a GAPSPZ1
+/// store at `out_path` (the same path compacts in place). The one converter
+/// into the kept-store format. Throws IoError when `raw_path` is already
+/// compressed or is not a square dist_t matrix.
 StoreCompactionStats compact_store(const std::string& raw_path,
                                    const std::string& out_path,
                                    vidx_t tile = 256);
@@ -92,7 +94,7 @@ struct CompressedTileEntry {
 /// The validated geometry + tile directory of a GAPSPZ1 store, for tools
 /// that relocate compressed frames without decompressing them (the
 /// row-range shard slicer, core/shard_store.h). Throws IoError/CorruptError
-/// exactly like open_compressed_store.
+/// exactly like open_store.
 struct CompressedDirectory {
   vidx_t n = 0;
   vidx_t tile = 0;
@@ -101,16 +103,15 @@ struct CompressedDirectory {
 };
 CompressedDirectory read_compressed_directory(const std::string& path);
 
-/// Opens a GAPSPZ1 store read-only. read_block decompresses the overlapped
-/// tiles (all-kInf tiles are synthesized from the directory without I/O);
-/// write_block throws IoError. Like FileStore, the returned store is one
-/// stateful stream — callers serialize concurrent reads (QueryEngine's miss
-/// path already does). tile_size() reports the stored tiling so caches can
-/// align to it, and block_known_inf() answers from the directory alone.
-std::unique_ptr<DistStore> open_compressed_store(const std::string& path);
-
-/// Serving entry point: sniffs the magic and opens either a raw kept store
-/// (open_file_store) or a GAPSPZ1 store (open_compressed_store).
+/// Serving entry point: opens a GAPSPZ1 kept store read-only. read_block
+/// decompresses the overlapped tiles, verifying each frame's checksum (all-
+/// kInf tiles are synthesized from the directory without I/O); write_block
+/// throws IoError. Like FileStore, the returned store is one stateful
+/// stream — callers serialize concurrent reads (QueryEngine's miss path
+/// already does). tile_size() reports the stored tiling so caches can align
+/// to it, and block_known_inf() answers from the directory alone. A raw
+/// matrix is rejected with IoError naming `apsp_cli compact`; a damaged
+/// header or directory is CorruptError.
 std::unique_ptr<DistStore> open_store(const std::string& path);
 
 }  // namespace gapsp::core

@@ -341,7 +341,12 @@ bool save_calibration(const ApspOptions& opts, const std::string& path) {
   return true;
 }
 
-bool load_calibration(const ApspOptions& opts, const std::string& path) {
+namespace {
+
+/// Reads and validates the sidecar at `path` (magic, checksum, layout).
+/// Returns false when the file is missing or fails any check.
+bool read_calibration_file(const std::string& path, std::string& key,
+                           Calibration& cal) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;  // no sidecar: calibrate() will probe
   std::vector<std::uint8_t> buf;
@@ -372,12 +377,10 @@ bool load_calibration(const ApspOptions& opts, const std::string& path) {
 
   std::uint64_t key_len = 0;
   if (!take(&key_len, sizeof(key_len)) || key_len > body - pos) return false;
-  std::string key(reinterpret_cast<const char*>(buf.data() + pos),
-                  static_cast<std::size_t>(key_len));
+  key.assign(reinterpret_cast<const char*>(buf.data() + pos),
+             static_cast<std::size_t>(key_len));
   pos += static_cast<std::size_t>(key_len);
-  if (key != calibration_cache_key(opts)) return false;  // other config
 
-  Calibration cal;
   std::int64_t fw_n0 = 0, bnd_n0 = 0;
   std::uint64_t buckets = 0;
   if (!take(&cal.fw_t0, sizeof(cal.fw_t0)) ||
@@ -393,11 +396,25 @@ bool load_calibration(const ApspOptions& opts, const std::string& path) {
   cal.fw_n0 = static_cast<vidx_t>(fw_n0);
   cal.bnd_n0 = static_cast<vidx_t>(bnd_n0);
   cal.c_unit.resize(static_cast<std::size_t>(buckets));
-  if (!take(cal.c_unit.data(), cal.c_unit.size() * sizeof(double)) ||
-      pos != body) {
+  return take(cal.c_unit.data(), cal.c_unit.size() * sizeof(double)) &&
+         pos == body;
+}
+
+}  // namespace
+
+bool calibration_file_valid(const std::string& path) {
+  std::string key;
+  Calibration cal;
+  return read_calibration_file(path, key, cal);
+}
+
+bool load_calibration(const ApspOptions& opts, const std::string& path) {
+  std::string key;
+  Calibration cal;
+  if (!read_calibration_file(path, key, cal) ||
+      key != calibration_cache_key(opts)) {  // missing, corrupt, other config
     return false;
   }
-
   std::lock_guard<std::mutex> lk(calibration_mutex());
   calibration_table()[key] = std::move(cal);
   return true;

@@ -91,7 +91,7 @@ const Calibration& calibrate(const ApspOptions& opts);
 /// probe runs measure. Also the key a persisted table is matched against.
 std::string calibration_cache_key(const ApspOptions& opts);
 
-/// Serializes the cached calibration for `opts` to `path` (a "GAPSPCAL1"
+/// Serializes the cached calibration for `opts` to `path` (a "GAPSCAL1"
 /// sidecar, atomic tmp+rename). Returns false without touching the file
 /// when calibrate() has not run for this configuration yet. The CLI drops
 /// one next to a kept store so a serving process skips the warm-up solves.
@@ -101,6 +101,11 @@ bool save_calibration(const ApspOptions& opts, const std::string& path);
 /// when the file is missing, corrupt, or keyed for a different
 /// configuration; true means the next calibrate() is a cache hit.
 bool load_calibration(const ApspOptions& opts, const std::string& path);
+
+/// True when `path` holds a well-formed calibration sidecar (magic,
+/// checksum and layout all check out), whatever configuration it is keyed
+/// for. `apsp_cli info` asks this instead of parsing the format itself.
+bool calibration_file_valid(const std::string& path);
 
 /// Drops every cached calibration (test hook for the persistence path).
 void clear_calibration_cache();

@@ -71,15 +71,15 @@ std::unique_ptr<DistStore> make_ram_store(vidx_t n);
 std::unique_ptr<DistStore> make_file_store(vidx_t n, const std::string& path,
                                            bool keep_file = false);
 
-/// Opens an existing kept store file read-only for serving queries (the
-/// query service's entry point; see src/service/). The dimension is inferred
-/// from the file size, which must be exactly n²·sizeof(dist_t) for integer
-/// n. Throws IoError when the file is missing or not a square matrix;
-/// write_block on the returned store throws IoError. The file is never
-/// removed on destruction.
+/// Opens an existing raw matrix file read-only: the input side of
+/// compaction (compact_store) and of raw-vs-compressed comparisons. The
+/// dimension is inferred from the file size, which must be exactly
+/// n²·sizeof(dist_t) for integer n. Throws IoError when the file is missing
+/// or not a square matrix; write_block on the returned store throws
+/// IoError. The file is never removed on destruction.
 std::unique_ptr<DistStore> open_file_store(const std::string& path);
 
-// open_store(path) — the serving entry point that auto-detects a raw kept
-// file vs a GAPSPZ1 block-compressed store — lives in compressed_store.h.
+// open_store(path) — the serving entry point, which opens GAPSPZ1 kept
+// stores only — lives in compressed_store.h.
 
 }  // namespace gapsp::core

@@ -6,24 +6,21 @@ namespace gapsp::core {
 
 PathExtractor::PathExtractor(const graph::CsrGraph& g, const DistStore& store,
                              const ApspResult& result,
-                             std::size_t cache_bytes, StoreChecksums checksums,
+                             std::size_t cache_bytes,
                              TileReaderOptions reader_opt)
     : g_(g),
       reverse_(g.transpose()),
       store_(store),
       perm_(result.perm),
       cache_(cache_bytes, /*shards=*/4),
-      reader_(store, std::move(checksums), reader_opt) {
+      reader_(store, reader_opt) {
   GAPSP_CHECK(store.n() == g.num_vertices(), "store does not match graph");
   GAPSP_CHECK(perm_.empty() ||
                   perm_.size() == static_cast<std::size_t>(g.num_vertices()),
               "result permutation does not match graph");
   // Same tiling policy as the query service: follow the store's native tile
-  // side when it has one so a miss never decompresses two tiles; a sidecar
-  // grid likewise so every miss is a verifiable unit.
-  block_ = store.tile_size() > 0 ? store.tile_size()
-           : reader_.checksums().present() ? reader_.checksums().tile
-                                           : 256;
+  // side when it has one so a miss never decompresses two tiles.
+  block_ = store.tile_size() > 0 ? store.tile_size() : 256;
   block_ = std::min<vidx_t>(block_, std::max<vidx_t>(1, store.n()));
   num_blocks_ =
       store.n() == 0 ? 0 : (store.n() + block_ - 1) / block_;

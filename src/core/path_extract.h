@@ -17,7 +17,6 @@
 #include "core/apsp_options.h"
 #include "core/block_cache.h"
 #include "core/dist_store.h"
-#include "core/store_integrity.h"
 #include "core/tile_reader.h"
 #include "graph/csr_graph.h"
 
@@ -28,14 +27,12 @@ class PathExtractor {
   /// `store`/`result` must come from a completed solve over `g`. The graph
   /// is transposed once at construction. `cache_bytes` bounds the tile
   /// cache; the tile side follows the store's native tiling when it has one
-  /// (GAPSPZ1), the checksum sidecar's when one is supplied, 256 otherwise.
-  /// Tile reads run through a CheckedTileReader (retry + optional sidecar
-  /// verification); an unserveable tile surfaces as core::TileError from
-  /// distance()/path().
+  /// (GAPSPZ1), 256 otherwise. Tile reads run through a CheckedTileReader
+  /// (retry; a GAPSPZ1 store verifies its frame checksums); an unserveable
+  /// tile surfaces as core::TileError from distance()/path().
   PathExtractor(const graph::CsrGraph& g, const DistStore& store,
                 const ApspResult& result,
                 std::size_t cache_bytes = 8u << 20,
-                StoreChecksums checksums = {},
                 TileReaderOptions reader_opt = {});
 
   /// Shortest distance u → v (kInf when unreachable).
@@ -60,7 +57,7 @@ class PathExtractor {
   vidx_t num_blocks_ = 0;
   BlockData inf_tile_;  // shared all-kInf tile (charges no cache bytes)
   mutable BlockCache cache_;
-  mutable CheckedTileReader reader_;  // serialized, retried, verified reads
+  mutable CheckedTileReader reader_;  // serialized, retried reads
 };
 
 }  // namespace gapsp::core

@@ -6,7 +6,6 @@
 
 #include "core/compressed_store.h"
 #include "core/dist_store.h"
-#include "core/store_integrity.h"
 #include "core/tile_reader.h"
 #include "graph/csr_graph.h"
 #include "sssp/dijkstra.h"
@@ -105,93 +104,26 @@ class PatchedSource final : public DistStore {
   const TileRepairFn& repair_;
 };
 
-ScrubReport scrub_raw(const std::string& path, const ScrubOptions& opt) {
-  ScrubReport report;
-  StoreChecksums sums;
-  bool sidecar_corrupt = false;
-  try {
-    report.sums_present =
-        load_store_checksums(checksum_sidecar_path(path), sums);
-  } catch (const CorruptError&) {
-    // A rotten sidecar is itself damage: scan unverified, then rebuild it
-    // below when asked to.
-    sidecar_corrupt = true;
-  }
+}  // namespace
 
-  std::unordered_set<std::uint64_t> damaged;
-  vidx_t n = 0;
-  {
-    auto store = open_file_store(path);
-    n = store->n();
-    report.n = n;
-    report.tile = sums.present() ? sums.tile : opt.tile;
-    TileReaderOptions ropt;
-    ropt.retry = opt.retry;
-    ropt.faults = opt.faults;
-    CheckedTileReader reader(*store, sums, ropt);
-    damaged = scan_tiles(reader, *store, report.tile, report);
-  }
-
-  if (opt.repair && !damaged.empty()) {
-    GAPSP_CHECK(static_cast<bool>(opt.repair_fn),
-                "scrub repair requested without a repair source");
-    // Adopt the existing file read-write (same size, no truncation) and
-    // overwrite exactly the damaged tiles with recomputed truth.
-    auto store = make_file_store(n, path, /*keep_file=*/true);
-    const vidx_t tile = report.tile;
-    const vidx_t tps = (n + tile - 1) / tile;
-    for (const std::uint64_t key : damaged) {
-      const vidx_t bi = static_cast<vidx_t>(key / tps);
-      const vidx_t bj = static_cast<vidx_t>(key % tps);
-      const vidx_t row0 = bi * tile;
-      const vidx_t col0 = bj * tile;
-      const vidx_t rows = std::min<vidx_t>(tile, n - row0);
-      const vidx_t cols = std::min<vidx_t>(tile, n - col0);
-      const std::vector<dist_t> fixed = opt.repair_fn(row0, col0, rows, cols);
-      GAPSP_CHECK(fixed.size() == static_cast<std::size_t>(rows) * cols,
-                  "repair source returned a wrong-sized tile");
-      store->write_block(row0, col0, rows, cols, fixed.data(), cols);
-    }
-    mark_repaired(report);
-  }
-  report.unrepaired = report.corrupt - report.repaired;
-
-  // (Re)write the sidecar when asked, when repair touched the store, or
-  // when the old sidecar was itself corrupt — but never over damage we did
-  // not fix, which would launder corruption into "verified" data.
-  const bool want_sums =
-      opt.write_sums || sidecar_corrupt || report.repaired > 0;
-  if (want_sums && report.unrepaired == 0) {
-    auto store = open_file_store(path);
-    const StoreChecksums fresh =
-        compute_store_checksums(*store, report.tile);
-    write_store_checksums(fresh, checksum_sidecar_path(path));
-    report.sums_written = true;
-  }
-  return report;
-}
-
-ScrubReport scrub_z1(const std::string& path, const ScrubOptions& opt) {
-  ScrubReport report;
-  report.compressed = true;
+ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt) {
+  GAPSP_CHECK(!opt.repair || static_cast<bool>(opt.repair_fn),
+              "scrub repair requested without a repair source");
   // Store-level validation (header + directory) happens at open; damage
   // there prevents the walk and propagates as CorruptError per contract.
-  const CompressedStoreInfo info = compressed_store_info(path);
-  report.n = info.n;
-  report.tile = info.tile;
-
-  auto store = open_compressed_store(path);
+  auto store = open_store(path);
+  ScrubReport report;
+  report.n = store->n();
+  report.tile = store->tile_size();
   TileReaderOptions ropt;
   ropt.retry = opt.retry;
   ropt.faults = opt.faults;
-  // No sidecar: the z1 decoder verifies its own frame checksums.
-  CheckedTileReader reader(*store, StoreChecksums{}, ropt);
+  // The z1 decoder verifies every frame's content checksum.
+  CheckedTileReader reader(*store, ropt);
   std::unordered_set<std::uint64_t> damaged =
       scan_tiles(reader, *store, report.tile, report);
 
   if (opt.repair && !damaged.empty()) {
-    GAPSP_CHECK(static_cast<bool>(opt.repair_fn),
-                "scrub repair requested without a repair source");
     const PatchedSource patched(*store, report.tile, std::move(damaged),
                                 opt.repair_fn);
     // Atomic: the rebuilt store replaces `path` only once fully written;
@@ -201,15 +133,6 @@ ScrubReport scrub_z1(const std::string& path, const ScrubOptions& opt) {
   }
   report.unrepaired = report.corrupt - report.repaired;
   return report;
-}
-
-}  // namespace
-
-ScrubReport scrub_store(const std::string& path, const ScrubOptions& opt) {
-  GAPSP_CHECK(!opt.repair || static_cast<bool>(opt.repair_fn),
-              "scrub repair requested without a repair source");
-  return is_compressed_store(path) ? scrub_z1(path, opt)
-                                   : scrub_raw(path, opt);
 }
 
 TileRepairFn make_sssp_repair(const graph::CsrGraph& g,

@@ -42,7 +42,7 @@ struct ShardHeader {
   std::int64_t row_begin;
   std::int64_t row_end;
   std::uint64_t flags;
-  std::uint64_t dir_checksum;  ///< z1 payload: fnv1a over the directory; raw: 0
+  std::uint64_t dir_checksum;  ///< fnv1a over the slice directory
   std::uint64_t reserved;
 };
 static_assert(sizeof(ShardHeader) == 64, "GAPSPSD1 header layout drifted");
@@ -146,48 +146,22 @@ void seek_to(std::FILE* f, std::uint64_t offset, const std::string& path) {
   }
 }
 
+/// Every manifest and slice carries z1 frames; a clear flag marks the raw
+/// row payload of an older build.
+void require_compressed(std::uint64_t flags, const std::string& path) {
+  if ((flags & kFlagCompressed) == 0) {
+    throw CorruptError(path +
+                       ": raw shard payloads are no longer served; re-run "
+                       "`apsp_cli shard` on the GAPSPZ1 store");
+  }
+}
+
 /// Atomically replaces `path` with the fully-written tmp file.
 void commit_tmp(const std::string& tmp, const std::string& path) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw IoError("cannot rename " + tmp + " to " + path);
   }
-}
-
-/// Writes one raw shard file: header + the source's byte range for rows
-/// [row_begin, row_end), copied through a bounded buffer.
-void write_raw_shard(const DistStore& src, const std::string& out_path,
-                     vidx_t tile, const ShardRange& r) {
-  const std::string tmp = out_path + ".tmp";
-  File file(std::fopen(tmp.c_str(), "wb"));
-  if (file.f == nullptr) {
-    throw IoError("cannot create " + tmp);
-  }
-  ShardHeader h{};
-  std::memcpy(h.magic, kShardMagic, sizeof(kShardMagic));
-  h.n = src.n();
-  h.tile = tile;
-  h.row_begin = r.row_begin;
-  h.row_end = r.row_end;
-  write_exact(file.f, &h, sizeof(h), tmp);
-
-  const vidx_t n = src.n();
-  const vidx_t chunk_rows = std::max<vidx_t>(
-      1, static_cast<vidx_t>((1u << 20) / (static_cast<std::size_t>(n) *
-                                           sizeof(dist_t)) +
-                             1));
-  std::vector<dist_t> buf(static_cast<std::size_t>(chunk_rows) * n);
-  for (vidx_t row = r.row_begin; row < r.row_end; row += chunk_rows) {
-    const vidx_t rows = std::min<vidx_t>(chunk_rows, r.row_end - row);
-    src.read_block(row, 0, rows, n, buf.data(), static_cast<std::size_t>(n));
-    write_exact(file.f, buf.data(),
-                static_cast<std::size_t>(rows) * n * sizeof(dist_t), tmp);
-  }
-  if (std::fflush(file.f) != 0) {
-    throw IoError(tmp + ": flush failed");
-  }
-  std::fclose(file.release());
-  commit_tmp(tmp, out_path);
 }
 
 /// Writes one GAPSPZ1-sliced shard file: the source directory rows for the
@@ -257,7 +231,7 @@ void save_manifest(const std::string& path, const ShardManifest& m) {
   h.n = m.n;
   h.tile = m.tile;
   h.num_shards = m.num_shards();
-  h.flags = m.compressed ? kFlagCompressed : 0;
+  h.flags = kFlagCompressed;
   h.dir_checksum = fnv1a(entries.data(), entries.size() * sizeof(ManifestEntry));
 
   const std::string tmp = path + ".tmp";
@@ -276,10 +250,9 @@ void save_manifest(const std::string& path, const ShardManifest& m) {
 }
 
 /// Read-only DistStore over one shard file. Full dimension n; rows outside
-/// the shard's range throw IoError so routing bugs surface typed. Both
-/// payload formats report the manifest tile as tile_size() — the serving
-/// cache grid must align to shard boundaries, and a raw slice reporting 0
-/// would let the engine pick a block size that straddles them.
+/// the shard's range throw IoError so routing bugs surface typed. Reports
+/// the manifest tile as tile_size() — the serving cache grid must align to
+/// shard boundaries.
 class ShardSliceStore final : public DistStore {
  public:
   ShardSliceStore(std::FILE* f, std::string path, vidx_t n, vidx_t tile,
@@ -309,11 +282,7 @@ class ShardSliceStore final : public DistStore {
     check_block(row0, col0, rows, cols);
     if (rows == 0 || cols == 0) return;
     check_owned(row0, rows);
-    if (dir_.empty()) {
-      read_raw(row0, col0, rows, cols, dst, dst_ld);
-    } else {
-      read_z1(row0, col0, rows, cols, dst, dst_ld);
-    }
+    read_z1(row0, col0, rows, cols, dst, dst_ld);
   }
 
   vidx_t tile_size() const override { return tile_; }
@@ -321,7 +290,7 @@ class ShardSliceStore final : public DistStore {
   bool block_known_inf(vidx_t row0, vidx_t col0, vidx_t rows,
                        vidx_t cols) const override {
     check_block(row0, col0, rows, cols);
-    if (dir_.empty() || rows == 0 || cols == 0) return false;
+    if (rows == 0 || cols == 0) return false;
     if (row0 < row_begin_ || row0 + rows > row_end_) return false;
     const vidx_t bi0 = row0 / tile_;
     const vidx_t bi1 = (row0 + rows - 1) / tile_;
@@ -349,29 +318,6 @@ class ShardSliceStore final : public DistStore {
   const SliceDirEntry& entry(vidx_t bi, vidx_t bj) const {
     return dir_[static_cast<std::size_t>(bi - first_block_) * tiles_per_side_ +
                 bj];
-  }
-
-  void read_raw(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols,
-                dist_t* dst, std::size_t dst_ld) const {
-    const std::uint64_t row_bytes =
-        static_cast<std::uint64_t>(n()) * sizeof(dist_t);
-    if (cols == n() && dst_ld == static_cast<std::size_t>(cols)) {
-      seek_to(f_, sizeof(ShardHeader) +
-                      static_cast<std::uint64_t>(row0 - row_begin_) * row_bytes,
-              path_);
-      read_exact(f_, dst, static_cast<std::size_t>(rows) * cols * sizeof(dist_t),
-                 path_);
-      return;
-    }
-    for (vidx_t r = 0; r < rows; ++r) {
-      seek_to(f_,
-              sizeof(ShardHeader) +
-                  static_cast<std::uint64_t>(row0 - row_begin_ + r) * row_bytes +
-                  static_cast<std::uint64_t>(col0) * sizeof(dist_t),
-              path_);
-      read_exact(f_, dst + static_cast<std::size_t>(r) * dst_ld,
-                 static_cast<std::size_t>(cols) * sizeof(dist_t), path_);
-    }
   }
 
   void read_z1(vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols, dist_t* dst,
@@ -439,7 +385,7 @@ class ShardSliceStore final : public DistStore {
   vidx_t tile_;
   vidx_t row_begin_;
   vidx_t row_end_;
-  std::vector<SliceDirEntry> dir_;  ///< empty = raw payload
+  std::vector<SliceDirEntry> dir_;
   vidx_t tiles_per_side_;
   vidx_t first_block_;
   mutable std::vector<std::uint8_t> frame_;
@@ -475,17 +421,16 @@ std::string shard_file_path(const std::string& store_path, int shard) {
 }
 
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
-                               vidx_t tile, ShardingStats* stats) {
+                               vidx_t /*tile*/, ShardingStats* stats) {
   Timer timer;
+  // Frames are copied verbatim, so the source tiling is the only valid
+  // routing granularity.
+  const CompressedDirectory dir = read_compressed_directory(store_path);
   ShardManifest m;
-  m.compressed = is_compressed_store(store_path);
-  if (m.compressed) {
-    // Frames are copied verbatim, so the source tiling is the only valid
-    // routing granularity; the caller's `tile` is for raw sources.
-    const CompressedDirectory dir = read_compressed_directory(store_path);
-    m.n = dir.n;
-    m.tile = dir.tile;
-    m.shards = split_rows(m.n, m.tile, num_shards);
+  m.n = dir.n;
+  m.tile = dir.tile;
+  m.shards = split_rows(m.n, m.tile, num_shards);
+  {
     File src(std::fopen(store_path.c_str(), "rb"));
     if (src.f == nullptr) {
       throw IoError("cannot open dist store file " + store_path);
@@ -493,16 +438,6 @@ ShardManifest shard_store_file(const std::string& store_path, int num_shards,
     for (int k = 0; k < num_shards; ++k) {
       write_z1_shard(src.f, store_path, dir, shard_file_path(store_path, k),
                      m.shards[static_cast<std::size_t>(k)]);
-    }
-  } else {
-    const auto src = open_file_store(store_path);
-    GAPSP_CHECK(tile > 0, "shard tile must be positive");
-    m.n = src->n();
-    m.tile = std::min(tile, m.n);
-    m.shards = split_rows(m.n, m.tile, num_shards);
-    for (int k = 0; k < num_shards; ++k) {
-      write_raw_shard(*src, shard_file_path(store_path, k), m.tile,
-                      m.shards[static_cast<std::size_t>(k)]);
     }
   }
 
@@ -520,7 +455,6 @@ ShardManifest shard_store_file(const std::string& store_path, int num_shards,
   }
   if (stats != nullptr) {
     stats->shards = num_shards;
-    stats->compressed = m.compressed;
     stats->bytes_written = total;
     stats->seconds = timer.seconds();
   }
@@ -548,10 +482,10 @@ bool load_shard_manifest(const std::string& path, ShardManifest& out) {
       h.dir_checksum) {
     throw CorruptError(path + ": shard manifest checksum mismatch");
   }
+  require_compressed(h.flags, path);
   ShardManifest m;
   m.n = static_cast<vidx_t>(h.n);
   m.tile = static_cast<vidx_t>(h.tile);
-  m.compressed = (h.flags & kFlagCompressed) != 0;
   std::int64_t cursor = 0;
   for (const ManifestEntry& e : entries) {
     if (e.row_begin != cursor || e.row_end <= e.row_begin ||
@@ -606,46 +540,40 @@ std::unique_ptr<DistStore> open_shard_slice(const std::string& store_path,
   if (std::memcmp(h.magic, kShardMagic, sizeof(kShardMagic)) != 0) {
     throw CorruptError(path + ": not a GAPSPSD1 shard file");
   }
-  const bool compressed = (h.flags & kFlagCompressed) != 0;
   if (h.n != manifest.n || h.tile != manifest.tile ||
-      h.row_begin != r.row_begin || h.row_end != r.row_end ||
-      compressed != manifest.compressed) {
+      h.row_begin != r.row_begin || h.row_end != r.row_end) {
     throw CorruptError(path + ": shard header disagrees with the manifest");
   }
+  require_compressed(h.flags, path);
 
-  std::vector<SliceDirEntry> dir;
-  if (compressed) {
-    const std::int64_t tps = (h.n + h.tile - 1) / h.tile;
-    const std::int64_t row_blocks =
-        (h.row_end + h.tile - 1) / h.tile - h.row_begin / h.tile;
-    dir.resize(static_cast<std::size_t>(row_blocks * tps));
-    read_exact(file.f, dir.data(), dir.size() * sizeof(SliceDirEntry), path);
-    if (fnv1a(dir.data(), dir.size() * sizeof(SliceDirEntry)) !=
-        h.dir_checksum) {
-      throw CorruptError(path + ": shard directory checksum mismatch");
-    }
-    const std::uint64_t data_start =
-        sizeof(ShardHeader) + dir.size() * sizeof(SliceDirEntry);
-    for (const SliceDirEntry& e : dir) {
-      if (e.bytes == 0) continue;
-      if (e.offset < data_start || e.offset + e.bytes > file_bytes) {
-        throw CorruptError(path + ": shard directory entry out of bounds");
-      }
-    }
-  } else {
-    const std::uint64_t want =
-        sizeof(ShardHeader) +
-        static_cast<std::uint64_t>(h.row_end - h.row_begin) *
-            static_cast<std::uint64_t>(h.n) * sizeof(dist_t);
-    if (file_bytes != want) {
-      throw CorruptError(path + ": raw shard payload is " +
-                         std::to_string(file_bytes) + " bytes, expected " +
-                         std::to_string(want));
+  const std::int64_t tps = (h.n + h.tile - 1) / h.tile;
+  const std::int64_t row_blocks =
+      (h.row_end + h.tile - 1) / h.tile - h.row_begin / h.tile;
+  std::vector<SliceDirEntry> dir(static_cast<std::size_t>(row_blocks * tps));
+  read_exact(file.f, dir.data(), dir.size() * sizeof(SliceDirEntry), path);
+  if (fnv1a(dir.data(), dir.size() * sizeof(SliceDirEntry)) !=
+      h.dir_checksum) {
+    throw CorruptError(path + ": shard directory checksum mismatch");
+  }
+  const std::uint64_t data_start =
+      sizeof(ShardHeader) + dir.size() * sizeof(SliceDirEntry);
+  for (const SliceDirEntry& e : dir) {
+    if (e.bytes == 0) continue;
+    if (e.offset < data_start || e.offset + e.bytes > file_bytes) {
+      throw CorruptError(path + ": shard directory entry out of bounds");
     }
   }
   return std::make_unique<ShardSliceStore>(
       file.release(), path, manifest.n, manifest.tile, r.row_begin, r.row_end,
       std::move(dir));
+}
+
+bool is_shard_file(const std::string& path) {
+  File file(std::fopen(path.c_str(), "rb"));
+  if (file.f == nullptr) return false;
+  char magic[sizeof(kShardMagic)] = {};
+  return std::fread(magic, 1, sizeof(magic), file.f) == sizeof(magic) &&
+         std::memcmp(magic, kShardMagic, sizeof(kShardMagic)) == 0;
 }
 
 }  // namespace gapsp::core

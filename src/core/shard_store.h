@@ -9,18 +9,15 @@
 // tile grid, so routing a query is one comparison on its stored row and a
 // cache tile never straddles two shards.
 //
-// Both kept-store formats slice:
-//   raw      — a shard file is a contiguous byte range of the row-major
-//              matrix (rows are already adjacent on disk);
-//   GAPSPZ1  — every tile has an independent directory entry, so a shard is
-//              just a directory slice: the compressed frames are copied
-//              verbatim, never recompressed.
+// A GAPSPZ1 kept store gives every tile an independent directory entry, so
+// a shard is just a directory slice: the compressed frames are copied
+// verbatim, never recompressed, and keep their content checksums.
 //
-// On-disk layout (same-machine binary, little-endian, like GAPSPCK1/Z1/SM1):
+// On-disk layout (same-machine binary, little-endian, like GAPSPCK1/Z1):
 //
 //   manifest `<store>.shards` (magic GAPSPSH1):
 //     64-byte header: magic, i64 n, i64 tile, i64 num_shards,
-//                     u64 flags (bit0 = compressed payloads),
+//                     u64 flags (bit0 = compressed payloads, always set),
 //                     u64 fnv1a over the entry array, 8 reserved bytes
 //     entries: num_shards × {i64 row_begin, i64 row_end, u64 bytes,
 //                            u64 checksum}   (checksum = fnv1a over the
@@ -28,12 +25,14 @@
 //
 //   shard file `<store>.shard.K` (magic GAPSPSD1):
 //     64-byte header: magic, i64 n, i64 tile, i64 row_begin, i64 row_end,
-//                     u64 flags (bit0 = compressed), u64 dir_checksum,
-//                     8 reserved bytes
-//     raw payload:  (row_end−row_begin)·n dist_t, row-major
-//     z1 payload:   row_blocks×col_blocks × {u64 offset, u64 bytes}
-//                   directory (bytes == 0 ⇒ all-kInf tile), then the z1
-//                   frames; dir_checksum covers the directory array
+//                     u64 flags (bit0 = compressed, always set),
+//                     u64 dir_checksum, 8 reserved bytes
+//     payload:        row_blocks×col_blocks × {u64 offset, u64 bytes}
+//                     directory (bytes == 0 ⇒ all-kInf tile), then the z1
+//                     frames; dir_checksum covers the directory array
+//
+// Files whose compressed flag is clear are the raw payloads of older builds
+// and are rejected with CorruptError; re-run `apsp_cli shard`.
 //
 // See DESIGN.md §15 for the serving architecture this feeds.
 #pragma once
@@ -59,7 +58,6 @@ struct ShardRange {
 struct ShardManifest {
   vidx_t n = 0;
   vidx_t tile = 0;  ///< routing granularity; every row range aligns to it
-  bool compressed = false;  ///< shard payloads are z1 tile frames, not rows
   std::vector<ShardRange> shards;
 
   int num_shards() const { return static_cast<int>(shards.size()); }
@@ -79,36 +77,41 @@ std::string shard_file_path(const std::string& store_path, int shard);
 /// Outcome of one sharding pass, for CLI/bench reporting.
 struct ShardingStats {
   int shards = 0;
-  bool compressed = false;
   std::uint64_t bytes_written = 0;  ///< shard files + manifest
   double seconds = 0.0;
 };
 
-/// Slices the kept store at `store_path` (raw or GAPSPZ1, auto-detected)
-/// into `num_shards` row-range shard files plus a manifest, all next to the
-/// store. Row ranges are balanced in whole tile rows with the remainder
-/// spread over the leading shards (the last shard may be ragged). Atomic
-/// per file (tmp + rename). Throws Error when num_shards exceeds the tile
-/// row count (an empty shard could never serve a query), IoError/
-/// CorruptError on store damage. Returns the written manifest.
+/// Slices the GAPSPZ1 kept store at `store_path` into `num_shards` row-range
+/// shard files plus a manifest, all next to the store. The store's own tile
+/// is the routing granularity; `tile` is unused and kept only for source
+/// compatibility. Row ranges are balanced in whole tile rows with the
+/// remainder spread over the leading shards (the last shard may be ragged).
+/// Atomic per file (tmp + rename). Throws Error when num_shards exceeds the
+/// tile row count (an empty shard could never serve a query), IoError on a
+/// raw matrix, IoError/CorruptError on store damage. Returns the written
+/// manifest.
 ShardManifest shard_store_file(const std::string& store_path, int num_shards,
                                vidx_t tile = 256, ShardingStats* stats = nullptr);
 
 /// Loads the manifest at `path`. Returns false (leaving `out` absent) when
 /// the file is missing; throws CorruptError when it exists but fails its
-/// self-checks, IoError on read failure.
+/// self-checks or its compressed flag is clear, IoError on read failure.
 bool load_shard_manifest(const std::string& path, ShardManifest& out);
 
 /// Opens shard `k` of the sharded store as a read-only DistStore of the
 /// *full* dimension n whose readable rows are exactly the shard's range:
 /// read_block outside [row_begin, row_end) throws IoError — a routing bug
 /// must surface as a typed error, never as a silently-synthesized kInf.
-/// tile_size() reports the manifest tile for both payload formats so the
-/// query engine's cache grid aligns to shard boundaries. With `verify` set
-/// the shard file is checksummed against the manifest before serving and a
-/// mismatch throws CorruptError.
+/// tile_size() reports the manifest tile so the query engine's cache grid
+/// aligns to shard boundaries. With `verify` set the shard file is
+/// checksummed against the manifest before serving and a mismatch throws
+/// CorruptError; a header that disagrees with the manifest or has its
+/// compressed flag clear throws CorruptError either way.
 std::unique_ptr<DistStore> open_shard_slice(const std::string& store_path,
                                             const ShardManifest& manifest,
                                             int k, bool verify = true);
+
+/// True when the file at `path` starts with the GAPSPSD1 shard-slice magic.
+bool is_shard_file(const std::string& path);
 
 }  // namespace gapsp::core

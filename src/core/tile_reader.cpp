@@ -4,7 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "core/dist_store.h"
 #include "sim/fault.h"
 
 namespace gapsp::core {
@@ -18,19 +17,6 @@ std::string tile_tag(vidx_t row_block, vidx_t col_block) {
 
 }  // namespace
 
-CheckedTileReader::CheckedTileReader(const DistStore& store,
-                                     StoreChecksums sums, TileReaderOptions opt)
-    : store_(store), sums_(std::move(sums)), opt_(opt) {
-  if (sums_.present()) {
-    GAPSP_CHECK(sums_.n == store.n(),
-                "checksum sidecar covers a different matrix dimension");
-  }
-}
-
-bool CheckedTileReader::verifying() const {
-  return opt_.verify_checksums && sums_.present();
-}
-
 TileReaderStats CheckedTileReader::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
@@ -39,35 +25,14 @@ TileReaderStats CheckedTileReader::stats() const {
 void CheckedTileReader::read_tile(vidx_t row_block, vidx_t col_block,
                                   vidx_t row0, vidx_t col0, vidx_t rows,
                                   vidx_t cols, dist_t* dst) {
-  // Only verify rectangles that exactly cover one sidecar tile; anything
-  // else (a misaligned caller) is read unverified rather than mis-verified.
-  const bool verify =
-      verifying() && sums_.tile > 0 && row0 % sums_.tile == 0 &&
-      col0 % sums_.tile == 0 &&
-      rows == std::min<vidx_t>(sums_.tile, sums_.n - row0) &&
-      cols == std::min<vidx_t>(sums_.tile, sums_.n - col0);
-  const vidx_t sum_bi = verify ? row0 / sums_.tile : 0;
-  const vidx_t sum_bj = verify ? col0 / sums_.tile : 0;
-
   for (int attempt = 0;; ++attempt) {
     try {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (opt_.faults != nullptr) {
-          opt_.faults->on_op(sim::FaultOp::kStoreRead, /*device_now=*/0.0,
-                             tile_tag(row_block, col_block).c_str());
-        }
-        store_.read_block(row0, col0, rows, cols, dst, cols);
-      }
-      if (verify) {
-        const std::uint64_t got =
-            tile_checksum(dst, static_cast<std::size_t>(rows) * cols);
-        if (got != sums_.tile_sum(sum_bi, sum_bj)) {
-          throw CorruptError("checksum mismatch on " +
-                             tile_tag(row_block, col_block));
-        }
-      }
       std::lock_guard<std::mutex> lk(mu_);
+      if (opt_.faults != nullptr) {
+        opt_.faults->on_op(sim::FaultOp::kStoreRead, /*device_now=*/0.0,
+                           tile_tag(row_block, col_block).c_str());
+      }
+      store_.read_block(row0, col0, rows, cols, dst, cols);
       ++stats_.reads;
       return;
     } catch (const CorruptError& e) {

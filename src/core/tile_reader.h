@@ -7,22 +7,21 @@
 //   1. optional injected fault (sim::FaultInjector, op class kStoreRead) —
 //      chaos sweeps exercise this path deterministically;
 //   2. the actual DistStore::read_block, serialized by an internal mutex
-//      (the raw FileStore is one stateful stdio stream);
-//   3. optional checksum verification against the GAPSPSM1 sidecar
-//      (store_integrity.h) — raw stores only; the compressed store verifies
-//      its own frame checksums during decode.
+//      (a store is one stateful stdio stream). A GAPSPZ1 store or shard
+//      slice verifies each z1 frame's content checksum while decoding it,
+//      so a bit flip on disk surfaces here as CorruptError.
 //
 // Transient failures (IoError, transient FaultError) are retried under a
 // util::RetryPolicy with real exponential-backoff sleeps; exhausting the
 // budget raises TileError(kTransient). Persistent damage (CorruptError,
-// sidecar mismatch, non-transient FaultError) raises TileError(kCorrupt)
-// immediately — retrying a checksum mismatch cannot help. Callers
-// (BlockCache loaders) turn those into quarantine marks.
+// non-transient FaultError) raises TileError(kCorrupt) immediately —
+// retrying a checksum mismatch cannot help. Callers (BlockCache loaders)
+// turn those into quarantine marks.
 #pragma once
 
 #include <mutex>
 
-#include "core/store_integrity.h"
+#include "core/dist_store.h"
 #include "core/tile_error.h"
 #include "util/retry.h"
 
@@ -34,9 +33,6 @@ namespace gapsp::core {
 
 struct TileReaderOptions {
   util::RetryPolicy retry;
-  /// Verify raw-store tiles against the sidecar when one is loaded. Off =
-  /// trust the disk (the pre-fault-tolerance behaviour).
-  bool verify_checksums = true;
   /// Optional chaos hook; fires before every physical read attempt.
   sim::FaultInjector* faults = nullptr;
 };
@@ -50,29 +46,21 @@ struct TileReaderStats {
 
 class CheckedTileReader {
  public:
-  /// `sums` may be absent (default StoreChecksums) — verification is then a
-  /// no-op regardless of opt.verify_checksums. When present its tile grid
-  /// must match the grid the caller reads on (the query engine snaps its
-  /// block size to sums.tile for exactly this reason); rectangles that are
-  /// not full sidecar tiles are read unverified.
-  CheckedTileReader(const DistStore& store, StoreChecksums sums,
-                    TileReaderOptions opt);
+  CheckedTileReader(const DistStore& store, TileReaderOptions opt)
+      : store_(store), opt_(opt) {}
 
   /// Reads the rows×cols rectangle at (row0, col0) into dst (row-major,
-  /// leading dimension cols), retrying/verifying per the options.
+  /// leading dimension cols), retrying per the options.
   /// (row_block, col_block) is the caller's grid coordinate for the tile; it
   /// is carried verbatim on any TileError so the caller can map the failure
   /// back to its own cache key.
   void read_tile(vidx_t row_block, vidx_t col_block, vidx_t row0, vidx_t col0,
                  vidx_t rows, vidx_t cols, dist_t* dst);
 
-  const StoreChecksums& checksums() const { return sums_; }
-  bool verifying() const;
   TileReaderStats stats() const;
 
  private:
   const DistStore& store_;
-  StoreChecksums sums_;
   TileReaderOptions opt_;
   mutable std::mutex mu_;  ///< serializes store reads and guards stats
   TileReaderStats stats_;

@@ -29,22 +29,15 @@ QueryEngine::QueryEngine(const core::DistStore& store, QueryEngineOptions opt,
       opt_(std::move(opt)),
       perm_(std::move(perm)),
       cache_(opt_.cache_bytes, opt_.cache_shards),
-      reader_(store, std::move(opt_.checksums),
-              core::TileReaderOptions{opt_.retry, opt_.verify_checksums,
-                                      opt_.faults}) {
+      reader_(store, core::TileReaderOptions{opt_.retry, opt_.faults}) {
   GAPSP_CHECK(opt_.block_size > 0, "cache block size must be positive");
   GAPSP_CHECK(perm_.empty() ||
                   perm_.size() == static_cast<std::size_t>(store_.n()),
               "permutation length does not match the store");
   // A natively tiled store (GAPSPZ1) decompresses whole tiles on the miss
   // path: align the cache grid to the stored tiling so one miss never
-  // touches two stored tiles. A raw store with a checksum sidecar likewise
-  // snaps to the sidecar's tile grid so every miss is a verifiable unit.
-  if (store_.tile_size() > 0) {
-    opt_.block_size = store_.tile_size();
-  } else if (reader_.checksums().present()) {
-    opt_.block_size = reader_.checksums().tile;
-  }
+  // touches two stored tiles.
+  if (store_.tile_size() > 0) opt_.block_size = store_.tile_size();
   opt_.block_size = std::min<vidx_t>(opt_.block_size, std::max<vidx_t>(1, n()));
   num_blocks_ = n() == 0 ? 0 : (n() + opt_.block_size - 1) / opt_.block_size;
   // Edge tiles index at most rows×cols ≤ block_size² elements into this
@@ -99,8 +92,9 @@ ServiceStats QueryEngine::service_stats() const {
 
 BlockData QueryEngine::collapse_inf(
     std::shared_ptr<std::vector<dist_t>> data) const {
-  // Scan-on-load for raw stores: an all-kInf tile just read from disk
-  // collapses to the shared tile instead of occupying cache budget.
+  // Scan-on-load for untiled (RAM) stores and repaired or updated tiles: an
+  // all-kInf tile collapses to the shared tile instead of occupying cache
+  // budget.
   for (const dist_t d : *data) {
     if (d != kInf) return data;
   }

@@ -9,8 +9,8 @@
 // with a latency sample per query.
 //
 // Fault tolerance (DESIGN.md §13): every miss-path read goes through a
-// CheckedTileReader — checksum-verified against the GAPSPSM1 sidecar for
-// raw stores, retried under a RetryPolicy on transient I/O faults. Tiles
+// CheckedTileReader — checksum-verified by the GAPSPZ1 frame decoder,
+// retried under a RetryPolicy on transient I/O faults. Tiles
 // that stay unreadable are quarantined in the cache; queries touching them
 // come back with a typed per-query status instead of an exception (batch)
 // and never poison sibling queries. With a repair source configured the
@@ -30,7 +30,6 @@
 #include "core/block_cache.h"
 #include "core/dist_store.h"
 #include "core/incremental.h"
-#include "core/store_integrity.h"
 #include "core/tile_reader.h"
 
 namespace gapsp::service {
@@ -112,9 +111,8 @@ struct BatchReport {
 
 struct QueryEngineOptions {
   /// Cache tile side length in elements; edge tiles are smaller. Ignored
-  /// when the store is natively tiled (GAPSPZ1) or a checksum sidecar is
-  /// present: the engine snaps to that tiling so one cache miss never
-  /// spans two verifiable units.
+  /// when the store is natively tiled (a GAPSPZ1 store or shard slice): the
+  /// engine snaps to that tiling so one cache miss never spans two frames.
   vidx_t block_size = 256;
   std::size_t cache_bytes = 64u << 20;
   int cache_shards = 8;
@@ -125,11 +123,6 @@ struct QueryEngineOptions {
   // ---- fault tolerance ----
   /// Backoff-retry budget for transient miss-path I/O failures.
   util::RetryPolicy retry;
-  /// Verify raw-store tiles against `checksums` when present.
-  bool verify_checksums = true;
-  /// GAPSPSM1 sidecar contents (core/store_integrity.h). Default = absent:
-  /// no verification, the pre-fault-tolerance behaviour.
-  core::StoreChecksums checksums;
   /// Optional chaos hook applied to every physical store read.
   sim::FaultInjector* faults = nullptr;
   /// Admission bound for run_batch: at most this many queries per batch
@@ -224,8 +217,8 @@ class QueryEngine {
   BlockData inf_tile_;
   mutable BlockCache cache_;
   /// All miss-path reads funnel through the checked reader: it serializes
-  /// access to the one stateful store stream, injects chaos faults,
-  /// retries transients, and verifies checksums. Hits never touch it.
+  /// access to the one stateful store stream, injects chaos faults, and
+  /// retries transients. Hits never touch it.
   mutable core::CheckedTileReader reader_;
   mutable std::atomic<long long> served_{0};
   mutable std::atomic<long long> degraded_{0};

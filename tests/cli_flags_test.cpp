@@ -1,13 +1,16 @@
 // CLI regression tests for the serving-flag validation matrix: contradictory
 // shard/route/chaos combinations must exit 1 with a typed error (not crash,
-// not silently serve the wrong thing), unknown flags exit 2, and the valid
-// single-slice and routed paths exit 0. Drives the real apsp_cli binary.
+// not silently serve the wrong thing), unknown flags — including the removed
+// raw-store flags — exit 2, a raw matrix handed to a serving subcommand
+// exits 4 naming `apsp_cli compact`, and the valid single-slice and routed
+// paths exit 0. Drives the real apsp_cli binary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -30,6 +33,29 @@ int run_cli(const std::string& cli, const std::string& args) {
   return WEXITSTATUS(status);
 }
 
+/// Like run_cli, but captures stdout and stderr into `out`.
+int run_cli_output(const std::string& cli, const std::string& args,
+                   std::string& out) {
+  const std::string cmd = cli + " " + args + " 2>&1";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  out.clear();
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.append(buf, got);
+  }
+  const int status = pclose(pipe);
+  if (status == -1 || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+/// A checkpointed solve leaves its raw matrix behind at `path` (n=64).
+int write_raw_matrix(const std::string& cli, const std::string& path) {
+  return run_cli(cli, "--generate road:8x8 --store file --store-path " +
+                          path + " --checkpoint " + path + ".ck");
+}
+
 class CliFlags : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -38,13 +64,13 @@ class CliFlags : public ::testing::Test {
       GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
     }
     store = ::testing::TempDir() + "gapsp_cli_flags.bin";
-    // Raw kept store (n=64) sharded into 2 × 32 rows.
-    ASSERT_EQ(run_cli(cli, "--generate road:8x8 --store file --store-path " +
-                               store + " --keep-store --no-compress-store"),
+    // GAPSPZ1 kept store (n=64) on 16-wide tiles, sharded into 2 × 32 rows.
+    // `--keep-store` would tile it 64-wide (one tile row, not shardable in
+    // two), so the raw matrix of a checkpointed solve is compacted instead.
+    ASSERT_EQ(write_raw_matrix(cli, store), 0);
+    ASSERT_EQ(run_cli(cli, "compact --store-path " + store + " --block 16"),
               0);
-    ASSERT_EQ(run_cli(cli, "shard --store-path " + store +
-                               " --shards 2 --block 16"),
-              0);
+    ASSERT_EQ(run_cli(cli, "shard --store-path " + store + " --shards 2"), 0);
   }
 
   void TearDown() override {
@@ -53,7 +79,7 @@ class CliFlags : public ::testing::Test {
     std::remove((store + ".shards").c_str());
     std::remove((store + ".shard.0").c_str());
     std::remove((store + ".shard.1").c_str());
-    std::remove((store + ".sum").c_str());
+    std::remove((store + ".ck").c_str());
     std::remove((store + ".cal").c_str());
   }
 
@@ -114,6 +140,66 @@ TEST_F(CliFlags, UnknownFlagsExitTwo) {
   EXPECT_EQ(run_cli(cli, "serve --store-path " + store + " --point 0,1"), 2);
 }
 
+TEST_F(CliFlags, RemovedRawStoreFlagsAreUnknown) {
+  const std::string solve = "--generate road:8x8 --store file --store-path " +
+                            store + ".solve.bin --keep-store";
+  EXPECT_EQ(run_cli(cli, solve + " --no-compress-store"), 2);
+  EXPECT_EQ(run_cli(cli, "scrub --store-path " + store + " --write-sums"), 2);
+  EXPECT_EQ(run_cli(cli, q("--point 0,1 --no-verify-sums")), 2);
+  // The stored tile is the only grid: --block survives on `compact` alone.
+  EXPECT_EQ(run_cli(cli, q("--point 0,1 --block 16")), 2);
+  EXPECT_EQ(run_cli(cli, "serve --store-path " + store +
+                             " --shard 0 --block 16 </dev/null"),
+            2);
+  EXPECT_EQ(run_cli(cli, "shard --store-path " + store +
+                             " --shards 2 --block 16"),
+            2);
+  EXPECT_EQ(run_cli(cli, "scrub --store-path " + store + " --block 16"), 2);
+  EXPECT_EQ(run_cli(cli, "update --store-path " + store +
+                             " --updates none.txt --generate road:8x8 "
+                             "--block 16"),
+            2);
+}
+
+TEST_F(CliFlags, RawMatrixExitsFourNamingCompact) {
+  const std::string raw = store + ".raw.bin";
+  ASSERT_EQ(write_raw_matrix(cli, raw), 0);
+  const std::string updates = store + ".updates.txt";
+  std::ofstream(updates) << "0 1 3\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {"query", "--point 0,1"},
+      {"shard", "--shards 2"},
+      {"scrub", ""},
+      {"update", "--updates " + updates + " --generate road:8x8"}};
+  for (const auto& [sub, flags] : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli_output(
+                  cli, sub + " --store-path " + raw + " " + flags, out),
+              4)
+        << sub << ": " << out;
+    EXPECT_NE(out.find("apsp_cli compact"), std::string::npos)
+        << sub << ": " << out;
+  }
+  std::remove(raw.c_str());
+  std::remove((raw + ".ck").c_str());
+  std::remove(updates.c_str());
+}
+
+TEST_F(CliFlags, InfoReportsAFreshCalibrationSidecarPresent) {
+  // The auto selector calibrates, so --keep-store saves a .cal sidecar
+  // next to the store; `info` must accept the format cost_model writes.
+  const std::string kept = store + ".kept.bin";
+  ASSERT_EQ(run_cli(cli, "--generate road:24x24 --store file --store-path " +
+                             kept + " --keep-store"),
+            0);
+  std::string out;
+  ASSERT_EQ(run_cli_output(cli, "info --store-path " + kept, out), 0) << out;
+  EXPECT_NE(out.find("format: GAPSPZ1"), std::string::npos) << out;
+  EXPECT_NE(out.find("calibration: present"), std::string::npos) << out;
+  std::remove(kept.c_str());
+  std::remove((kept + ".cal").c_str());
+}
+
 TEST_F(CliFlags, ServeRequiresAShard) {
   EXPECT_EQ(run_cli(cli, "serve --store-path " + store + " </dev/null"), 1);
 }
@@ -121,7 +207,7 @@ TEST_F(CliFlags, ServeRequiresAShard) {
 TEST_F(CliFlags, RoutedQueryWithoutManifestExitsOne) {
   const std::string bare = ::testing::TempDir() + "gapsp_cli_bare.bin";
   ASSERT_EQ(run_cli(cli, "--generate road:8x8 --store file --store-path " +
-                             bare + " --keep-store --no-compress-store"),
+                             bare + " --keep-store"),
             0);
   EXPECT_EQ(run_cli(cli, "query --store-path " + bare +
                              " --route local --point 0,1"),
@@ -130,7 +216,6 @@ TEST_F(CliFlags, RoutedQueryWithoutManifestExitsOne) {
                     "query --store-path " + bare + " --shard 0 --point 0,1"),
             1);
   std::remove(bare.c_str());
-  std::remove((bare + ".sum").c_str());
   std::remove((bare + ".cal").c_str());
 }
 

@@ -1,7 +1,7 @@
 // Block-compressed store (GAPSPZ1, DESIGN.md §11) coverage: the z1 codec on
 // known patterns, the store against the raw DistStore oracle (full
-// decompress must be bit-identical), the compaction/auto-detect entry
-// points, directory-answered all-kInf tiles, corruption rejection, and the
+// decompress must be bit-identical), compaction as the one raw→GAPSPZ1
+// converter and open_store's rejection of raw matrices, directory-answered all-kInf tiles, corruption rejection, and the
 // compressed checkpoint sidecar payloads.
 #include <gtest/gtest.h>
 
@@ -240,7 +240,7 @@ TEST(CompressedStore, BitIdenticalToRawOracle) {
   EXPECT_EQ(cs.raw_bytes, static_cast<std::uint64_t>(g.num_vertices()) *
                               g.num_vertices() * sizeof(dist_t));
   EXPECT_EQ(cs.compressed_bytes, file_size(zpath));
-  const auto z = open_compressed_store(zpath);
+  const auto z = open_store(zpath);
   EXPECT_EQ(z->tile_size(), 48);
   expect_stores_bit_identical(*ram, *z);
   // Strided partial reads crossing tile boundaries match at().
@@ -270,12 +270,12 @@ TEST(CompressedStore, RaggedTilesRoundTrip) {
   }
   const std::string zpath = tmp_path("ragged");
   write_compressed_store(*ram, zpath, /*tile=*/7);
-  const auto z = open_compressed_store(zpath);
+  const auto z = open_store(zpath);
   expect_stores_bit_identical(*ram, *z);
   std::remove(zpath.c_str());
 }
 
-TEST(CompressedStore, CompactAutodetectsAndServes) {
+TEST(CompressedStore, CompactConvertsRawAndOpenStoreRejectsIt) {
   const auto g = graph::make_road(10, 10, 31);
   const vidx_t n = g.num_vertices();
   ApspOptions o;
@@ -288,9 +288,18 @@ TEST(CompressedStore, CompactAutodetectsAndServes) {
   }
   auto ram = solve_to_ram(g);
 
-  // A raw kept file is not a compressed store; open_store serves it raw.
+  // A raw matrix is not a kept store: open_store rejects it typed and
+  // names the converter.
   EXPECT_FALSE(is_compressed_store(raw_path));
-  expect_stores_bit_identical(*ram, *open_store(raw_path));
+  try {
+    open_store(raw_path);
+    FAIL() << "open_store served a raw matrix";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("apsp_cli compact"),
+              std::string::npos)
+        << e.what();
+  }
+  expect_stores_bit_identical(*ram, *open_file_store(raw_path));
 
   // Out-of-place compaction leaves the raw file usable and both agree.
   const std::string zpath = tmp_path("z");
@@ -329,7 +338,7 @@ TEST(CompressedStore, KnownInfTilesServeWithoutPayload) {
   const std::string zpath = tmp_path("kinf");
   const auto cs = write_compressed_store(*ram, zpath, /*tile=*/64);
   EXPECT_GT(cs.inf_tiles, 0);
-  const auto z = open_compressed_store(zpath);
+  const auto z = open_store(zpath);
 
   EXPECT_TRUE(z->block_known_inf(0, half, half, half));
   EXPECT_TRUE(z->block_known_inf(half, 0, half, half));
@@ -360,7 +369,7 @@ TEST(CompressedStore, RejectsWritesAndValidatesBounds) {
   const auto ram = solve_to_ram(g);
   const std::string zpath = tmp_path("ro");
   write_compressed_store(*ram, zpath, /*tile=*/16);
-  const auto z = open_compressed_store(zpath);
+  const auto z = open_store(zpath);
   dist_t v = 1;
   EXPECT_THROW(z->write_block(0, 0, 1, 1, &v, 1), IoError);
   std::vector<dist_t> out(4);
@@ -382,20 +391,20 @@ TEST(CompressedStore, CorruptionIsRejectedNotServed) {
   auto bad = pristine;
   bad[64 + 3] ^= 0xff;
   write_file(zpath, bad);
-  EXPECT_THROW(open_compressed_store(zpath), IoError);
+  EXPECT_THROW(open_store(zpath), IoError);
 
   // Truncated payload: directory entries point past EOF.
   bad = pristine;
   bad.resize(bad.size() - 9);
   write_file(zpath, bad);
-  EXPECT_THROW(open_compressed_store(zpath), IoError);
+  EXPECT_THROW(open_store(zpath), IoError);
 
   // Flipped payload byte: open succeeds (directory intact) but the tile
   // read fails its frame validation instead of returning wrong distances.
   bad = pristine;
   bad[bad.size() - 5] ^= 0x10;
   write_file(zpath, bad);
-  const auto z = open_compressed_store(zpath);
+  const auto z = open_store(zpath);
   const vidx_t n = g.num_vertices();
   std::vector<dist_t> row(static_cast<std::size_t>(n));
   EXPECT_THROW(

@@ -1,12 +1,13 @@
-// Serving-tier fault tolerance (DESIGN.md §13): the GAPSPSM1 checksum
-// sidecar, the CheckedTileReader's retry/verify ladder, BlockCache
-// quarantine + racing-publish rescue, QueryEngine degraded serving /
-// on-demand repair / overload shedding, and the offline scrubber.
+// Serving-tier fault tolerance (DESIGN.md §13): the CheckedTileReader's
+// retry ladder and its corrupt-is-not-retried rule on GAPSPZ1 frame
+// checksum mismatches, BlockCache quarantine + racing-publish rescue,
+// QueryEngine degraded serving / on-demand repair / overload shedding, and
+// the offline scrubber.
 //
-// The headline invariant, checked by the corrupt-at-every-tile sweeps:
-// whatever single tile rots on disk, every query either returns the correct
-// distance or a typed per-query error — the process never dies, sibling
-// queries never degrade, and untouched tiles stay bit-identical.
+// The headline invariant, checked by the corrupt-at-every-tile sweep:
+// whatever single tile frame rots on disk, every query either returns the
+// correct distance or a typed per-query error — the process never dies,
+// sibling queries never degrade, and untouched tiles stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +17,6 @@
 #include "core/apsp.h"
 #include "core/compressed_store.h"
 #include "core/scrub.h"
-#include "core/store_integrity.h"
 #include "core/tile_reader.h"
 #include "graph/generators.h"
 #include "service/query_engine.h"
@@ -27,7 +27,6 @@ namespace gapsp::service {
 namespace {
 
 using core::BlockData;
-using core::StoreChecksums;
 using core::TileError;
 using core::TileFailure;
 
@@ -153,41 +152,6 @@ TEST(BlockCacheFault, ClearQuarantineDropsAllMarks) {
 }
 
 // ---------------------------------------------------------------------------
-// GAPSPSM1 checksum sidecar.
-// ---------------------------------------------------------------------------
-
-TEST(StoreIntegrity, SidecarRoundTripsAndDetectsTampering) {
-  const auto store = core::make_ram_store(50);
-  std::vector<dist_t> tile(50, 3);
-  store->write_block(7, 0, 1, 50, tile.data(), 50);
-
-  const auto sums = core::compute_store_checksums(*store, /*tile=*/16);
-  EXPECT_EQ(sums.n, 50);
-  EXPECT_EQ(sums.tiles_per_side, 4);
-  EXPECT_EQ(sums.sums.size(), 16u);
-
-  const std::string path = temp_path("sidecar");
-  core::write_store_checksums(sums, path);
-  StoreChecksums back;
-  ASSERT_TRUE(core::load_store_checksums(path, back));
-  EXPECT_EQ(back.n, sums.n);
-  EXPECT_EQ(back.tile, sums.tile);
-  EXPECT_EQ(back.sums, sums.sums);
-
-  // Missing file: absent, not an error.
-  StoreChecksums none;
-  EXPECT_FALSE(core::load_store_checksums(path + ".nope", none));
-  EXPECT_FALSE(none.present());
-
-  // A flipped byte in the sums array fails the sidecar's own self-check.
-  auto bytes = read_file(path);
-  bytes[bytes.size() - 1] ^= 0x40;
-  write_file(path, bytes);
-  EXPECT_THROW(core::load_store_checksums(path, back), CorruptError);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // CheckedTileReader: retry ladder and checksum verification.
 // ---------------------------------------------------------------------------
 
@@ -202,7 +166,7 @@ TEST(CheckedTileReader, RetriesTransientFaultsThenSucceeds) {
   core::TileReaderOptions opt;
   opt.retry = fast_retry(3);
   opt.faults = &injector;
-  core::CheckedTileReader reader(*store, StoreChecksums{}, opt);
+  core::CheckedTileReader reader(*store, opt);
   std::vector<dist_t> buf(16 * 16);
   reader.read_tile(0, 0, 0, 0, 16, 16, buf.data());
   EXPECT_EQ(buf[0], kInf);
@@ -220,7 +184,7 @@ TEST(CheckedTileReader, ExhaustedRetriesThrowTransientTileError) {
   core::TileReaderOptions opt;
   opt.retry = fast_retry(2);
   opt.faults = &injector;
-  core::CheckedTileReader reader(*store, StoreChecksums{}, opt);
+  core::CheckedTileReader reader(*store, opt);
   std::vector<dist_t> buf(32 * 32);
   try {
     reader.read_tile(0, 0, 0, 0, 32, 32, buf.data());
@@ -233,28 +197,37 @@ TEST(CheckedTileReader, ExhaustedRetriesThrowTransientTileError) {
   EXPECT_EQ(s.transient_failures, 1);
 }
 
+/// Damages the z1 frame at `offset` in `bytes`. Bytes 8..15 of a frame hold
+/// the FNV-1a checksum of its decoded content (z1_codec.h): flipping one
+/// leaves the sequences parseable and the decoded tile unchanged, so only
+/// the content checksum check can catch it.
+void damage_frame(std::vector<std::uint8_t>& bytes, std::uint64_t offset,
+                  std::uint64_t frame_bytes) {
+  ASSERT_GT(frame_bytes, 16u) << "all-kInf tiles have no frame to damage";
+  bytes[static_cast<std::size_t>(offset) + 8] ^= 0x01;
+}
+
 TEST(CheckedTileReader, ChecksumMismatchIsCorruptNotRetried) {
   const vidx_t n = 40;
-  const std::string path = temp_path("reader_corrupt");
-  {
-    auto store = core::make_file_store(n, path, /*keep_file=*/true);
-    std::vector<dist_t> row(static_cast<std::size_t>(n), 5);
-    for (vidx_t r = 0; r < n; ++r) {
-      store->write_block(r, 0, 1, n, row.data(), row.size());
-    }
+  const auto ram = core::make_ram_store(n);
+  std::vector<dist_t> row(static_cast<std::size_t>(n), 5);
+  for (vidx_t r = 0; r < n; ++r) {
+    ram->write_block(r, 0, 1, n, row.data(), row.size());
   }
-  const auto ro = core::open_file_store(path);
-  const auto sums = core::compute_store_checksums(*ro, /*tile=*/16);
+  const std::string path = temp_path("reader_corrupt");
+  core::write_compressed_store(*ram, path, /*tile=*/16);
 
-  // Flip one element inside tile (1, 1): stored row 16, col 16.
+  // Damage the frame of tile (1, 1).
+  const auto dir = core::read_compressed_directory(path);
+  const auto& victim = dir.entries[1 * dir.tiles_per_side + 1];
   auto bytes = read_file(path);
-  bytes[(16 * static_cast<std::size_t>(n) + 16) * sizeof(dist_t)] ^= 0x01;
+  damage_frame(bytes, victim.offset, victim.bytes);
   write_file(path, bytes);
 
-  const auto damaged = core::open_file_store(path);
+  const auto damaged = core::open_store(path);
   core::TileReaderOptions opt;
   opt.retry = fast_retry(3);
-  core::CheckedTileReader reader(*damaged, sums, opt);
+  core::CheckedTileReader reader(*damaged, opt);
   std::vector<dist_t> buf(16 * 16);
   reader.read_tile(0, 0, 0, 0, 16, 16, buf.data());  // clean tile is fine
   try {
@@ -278,16 +251,26 @@ TEST(CheckedTileReader, ChecksumMismatchIsCorruptNotRetried) {
 struct ServedStore {
   graph::CsrGraph g;
   std::string path;
-  StoreChecksums sums;
-  std::vector<std::uint8_t> pristine;  ///< raw file bytes before damage
+  core::CompressedDirectory dir;       ///< where each tile's frame lives
+  std::vector<std::uint8_t> pristine;  ///< GAPSPZ1 file bytes before damage
   vidx_t n = 0;
   vidx_t tile = 0;
   vidx_t tps = 0;
+
+  /// Damages tile (bi, bj)'s frame in `bytes`; false for an all-kInf tile,
+  /// which stores no frame and is served from the directory alone.
+  bool damage_tile(std::vector<std::uint8_t>& bytes, vidx_t bi,
+                   vidx_t bj) const {
+    const auto& e = dir.entries[static_cast<std::size_t>(bi) * tps + bj];
+    if (e.bytes == 0) return false;
+    damage_frame(bytes, e.offset, e.bytes);
+    return true;
+  }
 };
 
 /// Solves er:N (disconnected, kInf-rich) with the identity-permutation
-/// Johnson algorithm into a kept raw file store, plus its sidecar grid.
-ServedStore solve_raw(const std::string& tag, vidx_t tile) {
+/// Johnson algorithm and keeps it as a GAPSPZ1 store of `tile`-wide tiles.
+ServedStore solve_kept(const std::string& tag, vidx_t tile) {
   ServedStore s;
   s.g = graph::make_erdos_renyi(150, 450, 99, /*connect=*/false);
   s.n = s.g.num_vertices();
@@ -296,14 +279,14 @@ ServedStore solve_raw(const std::string& tag, vidx_t tile) {
     core::ApspOptions o;
     o.device = sim::DeviceSpec::v100_scaled(2u << 20);
     o.algorithm = core::Algorithm::kJohnson;  // identity permutation
-    auto store = core::make_file_store(s.n, s.path, /*keep_file=*/true);
+    auto store = core::make_ram_store(s.n);
     const auto r = core::solve_apsp(s.g, o, *store);
     EXPECT_TRUE(r.perm.empty());
+    core::write_compressed_store(*store, s.path, tile);
   }
-  const auto ro = core::open_file_store(s.path);
-  s.sums = core::compute_store_checksums(*ro, tile);
+  s.dir = core::read_compressed_directory(s.path);
   s.tile = tile;
-  s.tps = s.sums.tiles_per_side;
+  s.tps = s.dir.tiles_per_side;
   s.pristine = read_file(s.path);
   return s;
 }
@@ -319,33 +302,31 @@ std::vector<Query> tile_corner_queries(const ServedStore& s) {
   return qs;
 }
 
-TEST(FaultServing, CorruptAtEveryTileSweepRaw) {
-  auto s = solve_raw("sweep_raw", /*tile=*/64);
+TEST(FaultServing, CorruptAtEveryTileSweep) {
+  auto s = solve_kept("sweep", /*tile=*/64);
   ASSERT_GE(s.tps, 3);
   const auto queries = tile_corner_queries(s);
 
-  // Reference answers from the pristine bytes.
+  // Reference answers from the pristine store.
   std::vector<dist_t> want(queries.size());
   {
-    const auto ro = core::open_file_store(s.path);
+    const auto z = core::open_store(s.path);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      want[i] = ro->at(queries[i].u, queries[i].v);
+      want[i] = z->at(queries[i].u, queries[i].v);
     }
   }
 
+  int swept = 0;
   for (vidx_t bi = 0; bi < s.tps; ++bi) {
     for (vidx_t bj = 0; bj < s.tps; ++bj) {
       auto bytes = s.pristine;
-      const std::size_t victim =
-          (static_cast<std::size_t>(bi) * s.tile * s.n + bj * s.tile) *
-          sizeof(dist_t);
-      bytes[victim] ^= 0x5a;
+      if (!s.damage_tile(bytes, bi, bj)) continue;
+      ++swept;
       write_file(s.path, bytes);
 
-      const auto store = core::open_file_store(s.path);
+      const auto store = core::open_store(s.path);
       QueryEngineOptions opt;
       opt.retry = fast_retry(1);
-      opt.checksums = s.sums;
       const QueryEngine engine(*store, opt);
       const auto report = engine.run_batch(queries);
 
@@ -372,84 +353,20 @@ TEST(FaultServing, CorruptAtEveryTileSweepRaw) {
       EXPECT_GE(report.service.corrupt_tiles, 1);
     }
   }
-  write_file(s.path, s.pristine);
+  EXPECT_GE(swept, s.tps);  // at least the diagonal tiles carry frames
   std::remove(s.path.c_str());
 }
 
-TEST(FaultServing, CorruptAtEveryTileSweepCompressed) {
-  auto raw = solve_raw("sweep_z1", /*tile=*/64);
-  const std::string zpath = temp_path("sweep_z1_store");
-  core::compact_store(raw.path, zpath, /*tile=*/64);
-  std::remove(raw.path.c_str());
-
-  const auto info = core::compressed_store_info(zpath);
-  const vidx_t tps = info.tiles_per_side;
-  const auto pristine = read_file(zpath);
-
-  // Reference answers against the clean compressed store.
-  std::vector<Query> queries;
-  for (vidx_t bi = 0; bi < tps; ++bi) {
-    for (vidx_t bj = 0; bj < tps; ++bj) {
-      queries.push_back({QueryKind::kPoint, bi * 64, bj * 64});
-    }
-  }
-  std::vector<dist_t> want(queries.size());
-  {
-    const auto z = core::open_compressed_store(zpath);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      want[i] = z->at(queries[i].u, queries[i].v);
-    }
-  }
-
-  // Damage a byte in the payload region (past header + directory) in a few
-  // spots; whichever frame it lands in, the invariant is the same. All-kInf
-  // tiles have no payload, so the victim frame is found by outcome, not
-  // chosen by coordinate.
-  const std::size_t payload0 =
-      64 + static_cast<std::size_t>(tps) * tps * 16;
-  ASSERT_LT(payload0, pristine.size());
-  for (int probe = 0; probe < 8; ++probe) {
-    auto bytes = pristine;
-    const std::size_t at =
-        payload0 + (probe * (bytes.size() - payload0)) / 8;
-    bytes[at] ^= 0x80;
-    write_file(zpath, bytes);
-
-    std::unique_ptr<core::DistStore> store;
-    try {
-      store = core::open_compressed_store(zpath);
-    } catch (const IoError&) {
-      continue;  // directory-level damage: typed rejection at open is fine
-    }
-    QueryEngineOptions opt;
-    opt.retry = fast_retry(1);
-    const QueryEngine engine(*store, opt);
-    const auto report = engine.run_batch(queries);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto& r = report.results[i];
-      if (r.status == QueryStatus::kOk) {
-        ASSERT_EQ(r.dist, want[i]) << "probe " << probe << " query " << i
-                                   << " served a wrong answer";
-      } else {
-        EXPECT_EQ(r.status, QueryStatus::kQuarantined);
-        EXPECT_FALSE(r.error.empty());
-      }
-    }
-  }
-  std::remove(zpath.c_str());
-}
-
 TEST(FaultServing, RepairRecomputeServesThroughDamage) {
-  auto s = solve_raw("repair", /*tile=*/64);
-  // Corrupt tile (1, 0).
+  auto s = solve_kept("repair", /*tile=*/64);
+  // Corrupt tile (1, 1), which holds diagonal entries and so a frame.
   auto bytes = s.pristine;
-  bytes[(static_cast<std::size_t>(64) * s.n + 0) * sizeof(dist_t)] ^= 0xff;
+  ASSERT_TRUE(s.damage_tile(bytes, 1, 1));
   write_file(s.path, bytes);
 
-  const auto store = core::open_file_store(s.path);
+  const auto store = core::open_store(s.path);
   QueryEngineOptions opt;
   opt.retry = fast_retry(1);
-  opt.checksums = s.sums;
   opt.repair = core::make_sssp_repair(s.g);
   const QueryEngine engine(*store, opt);
 
@@ -501,8 +418,8 @@ TEST(FaultServing, OverloadShedsTypedBeyondMaxQueue) {
 }
 
 TEST(FaultServing, NeverDiesUnderInjectedReadFaults) {
-  auto s = solve_raw("chaos", /*tile=*/64);
-  const auto store = core::open_file_store(s.path);
+  auto s = solve_kept("chaos", /*tile=*/64);
+  const auto store = core::open_store(s.path);
 
   // p = 0.4 with a retry budget: most reads heal, a few tiles quarantine.
   sim::FaultPlan plan;
@@ -511,7 +428,6 @@ TEST(FaultServing, NeverDiesUnderInjectedReadFaults) {
   sim::FaultInjector injector(plan);
   QueryEngineOptions opt;
   opt.retry = fast_retry(4);
-  opt.checksums = s.sums;
   opt.faults = &injector;
   const QueryEngine engine(*store, opt);
 
@@ -566,24 +482,22 @@ TEST(FaultServing, NeverDiesUnderInjectedReadFaults) {
 // Scrub & repair.
 // ---------------------------------------------------------------------------
 
-TEST(Scrub, CleanCorruptRepairCycleRaw) {
-  auto s = solve_raw("scrub_raw", /*tile=*/64);
-  core::write_store_checksums(s.sums, core::checksum_sidecar_path(s.path));
+TEST(Scrub, CleanCorruptRepairCycle) {
+  auto s = solve_kept("scrub", /*tile=*/64);
 
   core::ScrubOptions sopt;
   sopt.retry = fast_retry(1);
   auto report = core::scrub_store(s.path, sopt);
   EXPECT_TRUE(report.clean());
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.sums_present);
+  EXPECT_EQ(report.tile, 64);
   EXPECT_EQ(report.tiles,
             static_cast<long long>(s.tps) * static_cast<long long>(s.tps));
 
   // Corrupt two tiles.
   auto bytes = s.pristine;
-  bytes[0] ^= 0x11;  // tile (0, 0)
-  bytes[(static_cast<std::size_t>(64) * s.n + 64) * sizeof(dist_t)] ^=
-      0x22;  // tile (1, 1)
+  ASSERT_TRUE(s.damage_tile(bytes, 0, 0));
+  ASSERT_TRUE(s.damage_tile(bytes, 1, 1));
   write_file(s.path, bytes);
 
   report = core::scrub_store(s.path, sopt);
@@ -592,8 +506,9 @@ TEST(Scrub, CleanCorruptRepairCycleRaw) {
   EXPECT_FALSE(report.ok());
   ASSERT_EQ(report.damaged.size(), 2u);
 
-  // Repair from the kept CSR, then verify the file is bit-identical to the
-  // pristine solve output.
+  // Repair from the kept CSR: the rebuilt store is bit-identical to the
+  // pristine one (recomputed tiles equal the solve's, and the GAPSPZ1
+  // encoder is deterministic).
   sopt.repair = true;
   sopt.repair_fn = core::make_sssp_repair(s.g);
   report = core::scrub_store(s.path, sopt);
@@ -604,81 +519,23 @@ TEST(Scrub, CleanCorruptRepairCycleRaw) {
 
   report = core::scrub_store(s.path, core::ScrubOptions{});
   EXPECT_TRUE(report.clean());
-  std::remove(core::checksum_sidecar_path(s.path).c_str());
   std::remove(s.path.c_str());
 }
 
-TEST(Scrub, WriteSumsCreatesSidecarForLegacyStore) {
-  auto s = solve_raw("scrub_sums", /*tile=*/64);
-  std::remove(core::checksum_sidecar_path(s.path).c_str());  // stale runs
-  StoreChecksums probe;
-  EXPECT_FALSE(core::load_store_checksums(core::checksum_sidecar_path(s.path),
-                                          probe));
-  core::ScrubOptions sopt;
-  sopt.write_sums = true;
-  sopt.tile = 64;
-  const auto report = core::scrub_store(s.path, sopt);
-  EXPECT_TRUE(report.clean());
-  EXPECT_TRUE(report.sums_written);
-
-  StoreChecksums sums;
-  ASSERT_TRUE(core::load_store_checksums(core::checksum_sidecar_path(s.path),
-                                         sums));
-  EXPECT_EQ(sums.tile, 64);
-  std::remove(core::checksum_sidecar_path(s.path).c_str());
-  std::remove(s.path.c_str());
-}
-
-TEST(Scrub, RepairsCompressedStoreInPlace) {
-  auto raw = solve_raw("scrub_z1", /*tile=*/64);
-  const std::string zpath = temp_path("scrub_z1_store");
-  core::compact_store(raw.path, zpath, /*tile=*/64);
-  std::remove(raw.path.c_str());
-  const auto pristine = read_file(zpath);
-
-  // Find a payload byte whose flip the scrubber sees as tile damage (not
-  // directory damage, which is store-level and rejected at open).
-  const auto info = core::compressed_store_info(zpath);
-  const std::size_t payload0 =
-      64 + static_cast<std::size_t>(info.tiles_per_side) *
-               info.tiles_per_side * 16;
-  core::ScrubOptions detect;
-  detect.retry = fast_retry(1);
-  bool damaged_a_tile = false;
-  for (std::size_t at = payload0 + 16; at < pristine.size() && !damaged_a_tile;
-       at += 97) {
-    auto bytes = pristine;
-    bytes[at] ^= 0x40;
-    write_file(zpath, bytes);
-    try {
-      const auto report = core::scrub_store(zpath, detect);
-      damaged_a_tile = report.corrupt > 0;
-    } catch (const IoError&) {
-      // Directory-level damage is a store-level typed rejection, not tile
-      // damage; keep probing.
-      write_file(zpath, pristine);
-    }
+TEST(Scrub, RawMatrixIsRejectedTyped) {
+  const std::string path = temp_path("rawmatrix_scrub");
+  {
+    auto raw = core::make_file_store(8, path, /*keep_file=*/true);
   }
-  ASSERT_TRUE(damaged_a_tile) << "no payload flip damaged any tile";
-
-  core::ScrubOptions sopt;
-  sopt.retry = fast_retry(1);
-  sopt.repair = true;
-  sopt.repair_fn = core::make_sssp_repair(raw.g);
-  const auto report = core::scrub_store(zpath, sopt);
-  EXPECT_GE(report.corrupt, 1);
-  EXPECT_EQ(report.unrepaired, 0);
-  EXPECT_TRUE(report.ok());
-
-  // The rebuilt store serves the true distances again.
-  const auto fixed = core::open_compressed_store(zpath);
-  const auto clean = core::scrub_store(zpath, detect);
-  EXPECT_TRUE(clean.clean());
-  const auto ref = test::ref_row(raw.g, 0);
-  for (vidx_t v = 0; v < raw.n; v += 37) {
-    EXPECT_EQ(fixed->at(0, v), ref[v]);
+  try {
+    core::scrub_store(path, core::ScrubOptions{});
+    FAIL() << "scrub walked a raw matrix";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("apsp_cli compact"),
+              std::string::npos)
+        << e.what();
   }
-  std::remove(zpath.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "core/apsp.h"
 #include "core/compressed_store.h"
 #include "core/kernel_engine.h"
-#include "core/store_integrity.h"
 #include "graph/generators.h"
 #include "service/query_engine.h"
 #include "test_util.h"
@@ -367,35 +366,33 @@ TEST_P(SimdFuzz, VectorKernelsMatchScalarOracleAtAnyAlignment) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdFuzz, ::testing::Range(0, 24));
 
 // ---------------------------------------------------------------------------
-// Raw kept-store damage fuzzer (DESIGN.md §13): random truncations of the
-// kept file are rejected typed at open (the size is no longer n²·4), and
-// random bit flips under a GAPSPSM1 sidecar make the serving tier answer
-// every query either exactly right or with a typed per-query status — no
-// crash, no silently wrong distance.
+// Kept-store damage fuzzer (DESIGN.md §13): random truncations of a GAPSPZ1
+// store are rejected typed at open (the last frame no longer fits the file),
+// and random bit flips either fail the header/directory checks at open or
+// make the serving tier answer every query exactly right or with a typed
+// per-query status — no crash, no silently wrong distance.
 // ---------------------------------------------------------------------------
 
-class RawStoreFuzz : public ::testing::TestWithParam<int> {};
+class StoreFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(RawStoreFuzz, DamageIsTypedOrExact) {
+TEST_P(StoreFuzz, DamageIsTypedOrExact) {
   Rng rng(0x4A57 + static_cast<std::uint64_t>(GetParam()) * 7877);
   const auto g = random_graph(rng);
   const vidx_t n = g.num_vertices();
-  const std::string path = ::testing::TempDir() + "gapsp_rawfuzz_" +
+  const std::string path = ::testing::TempDir() + "gapsp_storefuzz_" +
                            std::to_string(GetParam()) + ".bin";
 
   ApspOptions o;
   o.device = sim::DeviceSpec::v100_scaled(2u << 20);
   o.algorithm = Algorithm::kJohnson;  // identity layout
-  {
-    auto store = make_file_store(n, path, /*keep_file=*/true);
-    solve_apsp(g, o, *store);
-  }
   const vidx_t tile = static_cast<vidx_t>(rng.next_in(16, 96));
-  StoreChecksums sums;
+  {
+    auto store = make_ram_store(n);
+    solve_apsp(g, o, *store);
+    write_compressed_store(*store, path, tile);
+  }
   std::vector<std::uint8_t> pristine;
   {
-    auto ro = open_file_store(path);
-    sums = compute_store_checksums(*ro, tile);
     std::FILE* f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);
@@ -412,23 +409,17 @@ TEST_P(RawStoreFuzz, DamageIsTypedOrExact) {
     std::fclose(f);
   };
 
-  // Truncations: unless the cut happens to stay a perfect square matrix
-  // size, open is a typed rejection, not a crash or a short-read garbage
-  // serve.
+  // Truncations: the header, the directory or the last frame is cut short,
+  // so open is always a typed rejection, never a short-read garbage serve.
   for (int i = 0; i < 4; ++i) {
     auto bytes = pristine;
     bytes.resize(static_cast<std::size_t>(rng.next_below(bytes.size())));
     rewrite(bytes);
-    try {
-      const auto store = open_file_store(path);
-      EXPECT_LT(store->n(), n);  // a smaller square matrix: legal but small
-    } catch (const IoError&) {
-      // typed rejection is the expected outcome
-    }
+    EXPECT_THROW(open_store(path), IoError) << "cut at " << bytes.size();
   }
 
-  // Bit flips under the sidecar: every point query comes back exact or
-  // typed.
+  // Bit flips: open rejects header/directory damage typed; otherwise every
+  // point query comes back exact or typed.
   for (int round = 0; round < 4; ++round) {
     auto bytes = pristine;
     const int flips = static_cast<int>(rng.next_in(1, 5));
@@ -438,11 +429,15 @@ TEST_P(RawStoreFuzz, DamageIsTypedOrExact) {
     }
     rewrite(bytes);
 
-    const auto store = open_file_store(path);
+    std::unique_ptr<DistStore> store;
+    try {
+      store = open_store(path);
+    } catch (const IoError&) {
+      continue;  // header/directory damage: typed rejection at open
+    }
     service::QueryEngineOptions qopt;
     qopt.retry.max_retries = 1;
     qopt.retry.backoff_s = 1e-6;
-    qopt.checksums = sums;
     const service::QueryEngine engine(*store, qopt);
     std::vector<service::Query> queries;
     for (int i = 0; i < 32; ++i) {
@@ -466,7 +461,7 @@ TEST_P(RawStoreFuzz, DamageIsTypedOrExact) {
   std::remove(path.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RawStoreFuzz, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreFuzz, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace gapsp::core

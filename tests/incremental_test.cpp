@@ -298,7 +298,7 @@ TEST(Incremental, CompressedPristineSource) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "gapsp_inc_z1.bin").string();
   core::write_compressed_store(*ram, path, /*tile=*/16);
-  auto pristine = core::open_compressed_store(path);
+  auto pristine = core::open_store(path);
   ASSERT_EQ(pristine->tile_size(), 16);
 
   const auto batch = make_batch(g, Pattern::kMixed, 10, 47);

@@ -230,7 +230,8 @@ TEST(QueryEngine, ConcurrentBatchUnderTinyCacheMatchesStore) {
 
 TEST(QueryService, FileStoreEndToEnd) {
   // Solve into a kept file store, reopen it read-only via open_file_store,
-  // and serve queries — the CLI's exact flow.
+  // and serve queries: the engine runs over any DistStore, not only the
+  // GAPSPZ1 stores the CLI keeps.
   const std::string path = "query_service_e2e.bin";
   const auto g = graph::make_road(11, 11, 506);
   const vidx_t n = g.num_vertices();

@@ -1,8 +1,10 @@
-// Sharded-store + router coverage: GAPSPSH1 manifest round-trips (raw and
-// GAPSPZ1 sources, ragged last shard), slice stores that refuse rows they
-// do not own, router-vs-single-engine bit parity (in-process and forked
-// worker processes), and the typed degradation sweep — a killed worker
-// quarantines exactly its row range while sibling shards stay bit-identical.
+// Sharded-store + router coverage: GAPSPSH1 manifest round-trips over
+// GAPSPZ1 kept stores (ragged last shard, shard tile inherited from the
+// store), slice stores that refuse rows they do not own, typed rejection of
+// damaged or raw-flagged manifests and slices, router-vs-single-engine bit
+// parity (in-process and forked worker processes), and the typed
+// degradation sweep — a killed worker quarantines exactly its row range
+// while sibling shards stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,8 +27,9 @@ namespace {
 using core::DistStore;
 using core::ShardManifest;
 
-/// Solves into a kept raw file store; returns the result (perm for
-/// boundary solves).
+/// Solves and keeps the matrix as a GAPSPZ1 store with 32-wide tiles (the
+/// shard routing granularity); returns the result (perm for boundary
+/// solves).
 core::ApspResult solve_to_file(const graph::CsrGraph& g,
                                const std::string& path,
                                core::Algorithm algo) {
@@ -34,9 +37,20 @@ core::ApspResult solve_to_file(const graph::CsrGraph& g,
   o.device = sim::DeviceSpec::v100_scaled(2u << 20);
   o.fw_tile = 32;
   o.algorithm = algo;
-  auto store = core::make_file_store(g.num_vertices(), path,
-                                     /*keep_file=*/true);
-  return core::solve_apsp(g, o, *store);
+  auto store = core::make_ram_store(g.num_vertices());
+  const auto r = core::solve_apsp(g, o, *store);
+  core::write_compressed_store(*store, path, /*tile=*/32);
+  return r;
+}
+
+/// Overwrites `bytes` bytes at `offset` of the file at `path`.
+void patch_file(const std::string& path, long offset, const void* bytes,
+                std::size_t len) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes, 1, len, f), len);
+  std::fclose(f);
 }
 
 void remove_shard_files(const std::string& path, const ShardManifest& m) {
@@ -71,15 +85,14 @@ void expect_same_results(const BatchReport& got, const BatchReport& want) {
   }
 }
 
-TEST(ShardStore, RawManifestRoundTripWithRaggedLastShard) {
-  const std::string path = ::testing::TempDir() + "gapsp_shard_raw.bin";
+TEST(ShardStore, ManifestRoundTripWithRaggedLastShard) {
+  const std::string path = ::testing::TempDir() + "gapsp_shard_ragged.bin";
   const auto g = graph::make_road(11, 11, 601);  // n=121: ragged vs tile 32
   solve_to_file(g, path, core::Algorithm::kJohnson);
 
   core::ShardingStats stats;
   const auto m = core::shard_store_file(path, /*num_shards=*/3, /*tile=*/32,
                                         &stats);
-  EXPECT_FALSE(m.compressed);
   EXPECT_EQ(m.n, 121);
   EXPECT_EQ(m.tile, 32);
   ASSERT_EQ(m.num_shards(), 3);
@@ -100,7 +113,6 @@ TEST(ShardStore, RawManifestRoundTripWithRaggedLastShard) {
   ASSERT_EQ(loaded.num_shards(), 3);
   EXPECT_EQ(loaded.n, m.n);
   EXPECT_EQ(loaded.tile, m.tile);
-  EXPECT_EQ(loaded.compressed, m.compressed);
   for (int k = 0; k < 3; ++k) {
     const auto& a = m.shards[static_cast<std::size_t>(k)];
     const auto& b = loaded.shards[static_cast<std::size_t>(k)];
@@ -117,7 +129,7 @@ TEST(ShardStore, SlicesReproduceTheStoreAndRejectForeignRows) {
   const auto g = graph::make_road(11, 11, 602);
   solve_to_file(g, path, core::Algorithm::kJohnson);
   const auto m = core::shard_store_file(path, 3, 32);
-  const auto whole = core::open_file_store(path);
+  const auto whole = core::open_store(path);
 
   std::vector<dist_t> want(static_cast<std::size_t>(m.n));
   std::vector<dist_t> got(static_cast<std::size_t>(m.n));
@@ -139,17 +151,11 @@ TEST(ShardStore, SlicesReproduceTheStoreAndRejectForeignRows) {
   remove_shard_files(path, m);
 }
 
-TEST(ShardStore, CompressedManifestRoundTripAndParity) {
-  const std::string raw = ::testing::TempDir() + "gapsp_shard_z_src.bin";
+TEST(ShardStore, ShardTileFollowsTheStoreTiling) {
   const std::string zpath = ::testing::TempDir() + "gapsp_shard_z.bin";
   const auto g = graph::make_road(11, 11, 603);
-  solve_to_file(g, raw, core::Algorithm::kJohnson);
-  {
-    const auto src = core::open_file_store(raw);
-    core::write_compressed_store(*src, zpath, /*tile=*/32);
-  }
-  const auto m = core::shard_store_file(zpath, 3, /*tile ignored for z1*/ 0);
-  EXPECT_TRUE(m.compressed);
+  solve_to_file(g, zpath, core::Algorithm::kJohnson);
+  const auto m = core::shard_store_file(zpath, 3, /*tile (unused)=*/7);
   EXPECT_EQ(m.tile, 32);  // inherited from the GAPSPZ1 tiling
 
   const auto whole = core::open_store(zpath);
@@ -166,7 +172,6 @@ TEST(ShardStore, CompressedManifestRoundTripAndParity) {
     }
   }
   remove_shard_files(zpath, m);
-  std::remove(raw.c_str());
 }
 
 TEST(ShardStore, ShardOfRowBinarySearchBoundaries) {
@@ -213,7 +218,7 @@ TEST(ShardRouter, LocalBackendsMatchSingleEngineBitForBit) {
   const auto result = solve_to_file(g, path, core::Algorithm::kBoundary);
   const auto m = core::shard_store_file(path, 3, 32);
 
-  const auto whole = core::open_file_store(path);
+  const auto whole = core::open_store(path);
   QueryEngineOptions opt;
   opt.block_size = 32;
   const QueryEngine single(*whole, opt, result.perm);
@@ -235,7 +240,7 @@ TEST(ShardRouter, ForkedWorkerProcessesMatchSingleEngine) {
   solve_to_file(g, path, core::Algorithm::kJohnson);
   const auto m = core::shard_store_file(path, 3, 32);
 
-  const auto whole = core::open_file_store(path);
+  const auto whole = core::open_store(path);
   QueryEngineOptions opt;
   opt.block_size = 32;
   const QueryEngine single(*whole, opt);
@@ -265,7 +270,7 @@ TEST(ShardRouter, KilledWorkerDegradesExactlyItsRowRange) {
   solve_to_file(g, path, core::Algorithm::kJohnson);
   const auto m = core::shard_store_file(path, 3, 32);
 
-  const auto whole = core::open_file_store(path);
+  const auto whole = core::open_store(path);
   const QueryEngine single(*whole, {});
 
   // Worker 1 dies on its first batch; no retries, no respawn: its whole
@@ -318,7 +323,7 @@ TEST(ShardRouter, RespawnRetryHealsAWorkerThatDiesMidBatch) {
   solve_to_file(g, path, core::Algorithm::kJohnson);
   const auto m = core::shard_store_file(path, 2, 32);
 
-  const auto whole = core::open_file_store(path);
+  const auto whole = core::open_store(path);
   const QueryEngine single(*whole, {});
 
   // Worker 0 dies on its *second* batch. With respawn+1 retry the replacement
@@ -421,6 +426,22 @@ TEST(ShardStore, ManifestValidationRejectsDamage) {
     std::fclose(f);
   }
   EXPECT_THROW(core::load_shard_manifest(mpath, out), CorruptError);
+
+  // A clear compressed flag marks an older build's raw payload. The flag
+  // sits outside the entry checksum, so the loader must check it itself.
+  const std::uint64_t raw_flags = 0;
+  core::shard_store_file(path, 2, 32);
+  patch_file(mpath, /*flags=*/32, &raw_flags, sizeof(raw_flags));
+  EXPECT_THROW(core::load_shard_manifest(mpath, out), CorruptError);
+
+  // Same for a slice: rejected even when the whole-file check is skipped.
+  core::shard_store_file(path, 2, 32);
+  patch_file(core::shard_file_path(path, 1), /*flags=*/40, &raw_flags,
+             sizeof(raw_flags));
+  EXPECT_NO_THROW(core::open_shard_slice(path, m, 0, /*verify=*/false));
+  EXPECT_THROW(core::open_shard_slice(path, m, 1, /*verify=*/false),
+               CorruptError);
+  EXPECT_THROW(core::open_shard_slice(path, m, 1), CorruptError);
   remove_shard_files(path, m);
 }
 

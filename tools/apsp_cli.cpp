@@ -32,9 +32,9 @@
 //   --store-path P          file-store path (default ./apsp_dist.bin)
 //   --keep-store            keep the file store after exit; on completion it
 //                           is compacted into a GAPSPZ1 block-compressed
-//                           store (DESIGN.md §11) and a calibration sidecar
-//                           (<store-path>.cal) is saved next to it
-//   --no-compress-store     keep the raw file instead of compacting
+//                           store (DESIGN.md §11), the one kept-store format,
+//                           and a calibration sidecar (<store-path>.cal) is
+//                           saved next to it
 //   --store-ratio R         expected compression ratio of the store sink;
 //                           scales the n² output term of the cost models
 //                           (selector sees cheaper I/O)   (default 1 = raw)
@@ -78,17 +78,21 @@
 //   apsp_cli --generate road:20x20 --algorithm fw --store file \
 //            --store-path d.bin --checkpoint fw.ck --resume
 //
-// Query service (see DESIGN.md §10): `apsp_cli query` opens a kept store —
-// raw or GAPSPZ1 compressed, auto-detected — from a previous solve and
-// serves point/row/batch queries through the block-cached query engine,
-// printing cache and latency metrics:
+// Query service (see DESIGN.md §10): `apsp_cli query` opens the GAPSPZ1 kept
+// store of a previous solve and serves point/row/batch queries through the
+// block-cached query engine, printing cache and latency metrics. Every
+// subcommand that reads a kept store rejects a raw matrix with exit 4 and
+// points at `apsp_cli compact`:
 //
 //   apsp_cli --generate road:24x24 --store file --store-path d.bin --keep-store
 //   apsp_cli query --store-path d.bin --point 0,100 --row 5
 //   apsp_cli query --store-path d.bin --batch queries.txt --cache-mb 32
 //
 // Store compaction (see DESIGN.md §11): `apsp_cli compact` converts a raw
-// kept store into a GAPSPZ1 block-compressed store (in place by default):
+// matrix — the store a --checkpoint solve leaves behind, or a kept store
+// written by an older build — into a GAPSPZ1 block-compressed store (in
+// place by default). --block sets the stored tile side, which every later
+// reader's cache grid, shard ranges and update tiles follow:
 //
 //   apsp_cli compact --store-path d.bin [--out d.z.bin] [--block 256]
 //
@@ -99,24 +103,22 @@
 //   --batch FILE            one query per line: "U V" / "U,V" (point) or
 //                           "row U"; '#' starts a comment
 //   --cache-mb M            block cache capacity in MiB       (default 64)
-//   --block B               cache tile side, elements         (default 256)
+//                           (the cache tile is the store's own tile)
 //   --shards S              cache shard count                 (default 8)
 //   --threads T             batch fan-out threads (0 = whole pool)
 //   --repeat N              run the batch N times (N >= 2 shows the
 //                           warm-cache steady state; metrics per run)
 //
-// Serving-tier fault tolerance (see DESIGN.md §13): raw kept stores carry a
-// GAPSPSM1 checksum sidecar (<store>.sum, written at --keep-store/scrub
-// time) and every cache-miss read is verified against it; GAPSPZ1 stores
-// verify their own frame checksums. Transient read faults retry with
-// backoff; persistent damage quarantines the tile and degrades exactly the
-// queries that touch it (typed per-query status) — or, with
-// --repair recompute, the tile is re-derived from the graph on the spot.
+// Serving-tier fault tolerance (see DESIGN.md §13): every cache-miss read
+// decodes a GAPSPZ1 frame and checks its content checksum. Transient read
+// faults retry with backoff; persistent damage quarantines the tile and
+// degrades exactly the queries that touch it (typed per-query status) — or,
+// with --repair recompute, the tile is re-derived from the graph on the
+// spot.
 //
 //   --retries N             retry budget per transient read fault (default 3)
 //   --max-queue N           admission bound per batch; overflow is shed with
 //                           a typed status (0 = unbounded)
-//   --no-verify-sums        skip sidecar verification on reads
 //   --repair recompute      re-derive damaged tiles by SSSP over the input
 //                           graph (give the same --generate/--input/--seed
 //                           as the solve; identity-permutation solves only)
@@ -124,7 +126,7 @@
 //   --fault-seed S          fault schedule seed (default 1)
 //
 // Sharded serving (see DESIGN.md §15): `apsp_cli shard` splits a kept store
-// (raw or GAPSPZ1) into row-range shard files plus a GAPSPSH1 manifest;
+// on its own tile rows into row-range shard files plus a GAPSPSH1 manifest;
 // `query --route` serves all shards behind one batch surface, either with
 // in-process engines (local) or one worker process per shard (process, the
 // workers being `apsp_cli serve --shard K` children speaking a
@@ -149,17 +151,16 @@
 //
 //   apsp_cli scrub --store-path d.bin
 //   apsp_cli scrub --store-path d.bin --repair recompute --generate road:24x24
-//   apsp_cli scrub --store-path d.bin --write-sums    (create/refresh sidecar)
 //
 // Dynamic updates (see DESIGN.md §16): `apsp_cli update` repairs a kept
 // store in place after a batch of edge-weight updates, instead of
 // re-solving. Decrease-only batches run a bounded min-plus panel repair;
 // increases/deletes probe for damaged rows and recompute them by SSSP,
 // falling back to a full re-solve past --update-threshold. The repair
-// writes into a sibling tmp copy and atomically replaces the store, with a
-// GAPSPCK1 delta sidecar (<store>.updck) making a killed update resumable
-// bit-identically. Stale sidecars are fixed up: .sum refreshed, .cal and
-// .shards removed. Pass the solve's exact --generate/--input/--seed
+// writes into a sibling tmp copy and recompacts it over the store on the
+// store's own tile, with a GAPSPCK1 delta sidecar (<store>.updck) making a
+// killed update resumable bit-identically. Stale sidecars (.cal, .shards)
+// are removed. Pass the solve's exact --generate/--input/--seed
 // (identity-permutation solves only, like --repair recompute):
 //
 //   apsp_cli update --store-path d.bin --updates batch.txt \
@@ -177,15 +178,13 @@
 //   --checkpoint FILE       delta sidecar path (default <store>.updck)
 //   --checkpoint-every N    tiles between checkpoint rewrites (default 64)
 //   --resume                continue a killed update (same store + batch)
-//   --block B               repair tile side for raw stores (default 256;
-//                           GAPSPZ1 stores always use their own tiling)
 //   --save-graph FILE       write the post-update graph as Matrix Market,
 //                           so a from-scratch `--input FILE` solve can
 //                           cross-check the repaired store byte-for-byte
 //
-// `apsp_cli info` prints a kept store's format facts (raw / GAPSPZ1 /
-// GAPSPSD1 shard slice, n, tile, compression ratio) and the health of every
-// sidecar next to it (.sum / .cal / .shards / .updck):
+// `apsp_cli info` prints a kept store's format facts (GAPSPZ1 or GAPSPSD1
+// shard slice, n, tile, compression ratio) and the health of every sidecar
+// next to it (.cal / .shards / .updck):
 //
 //   apsp_cli info --store-path d.bin
 //
@@ -212,7 +211,6 @@
 #include "core/path_extract.h"
 #include "core/scrub.h"
 #include "core/shard_store.h"
-#include "core/store_integrity.h"
 #include "core/verify.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
@@ -322,12 +320,10 @@ service::QueryEngineOptions engine_options_from_flags(const Args& args) {
   service::QueryEngineOptions qopt;
   qopt.cache_bytes =
       static_cast<std::size_t>(args.get_int_or("cache-mb", 64)) << 20;
-  qopt.block_size = static_cast<vidx_t>(args.get_int_or("block", 256));
   qopt.cache_shards = static_cast<int>(args.get_int_or("shards", 8));
   qopt.max_threads = static_cast<int>(args.get_int_or("threads", 0));
   qopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
   qopt.max_queue = static_cast<std::size_t>(args.get_int_or("max-queue", 0));
-  qopt.verify_checksums = !args.has("no-verify-sums");
   return qopt;
 }
 
@@ -479,9 +475,8 @@ int run_query_shard_slice(const Args& args, const std::string& path) {
 
   std::cout << "store: " << path << " shard " << k << "/"
             << manifest.num_shards() << " (rows [" << range.row_begin << ", "
-            << range.row_end << ") of n=" << manifest.n << ", "
-            << (manifest.compressed ? "GAPSPZ1" : "raw") << " slice, tile "
-            << manifest.tile << ")\n";
+            << range.row_end << ") of n=" << manifest.n
+            << ", GAPSPZ1 slice, tile " << manifest.tile << ")\n";
 
   auto pq = parse_queries(args);
   for (const auto& q : pq.queries) {
@@ -567,8 +562,7 @@ int run_query_routed(const Args& args, const std::string& path,
   service::ShardRouter router(manifest, std::move(backends), ropt);
 
   std::cout << "store: " << path << " (n=" << manifest.n << ", " << shards
-            << " shards, tile " << manifest.tile << ", "
-            << (manifest.compressed ? "GAPSPZ1" : "raw") << " slices)\n"
+            << " shards, tile " << manifest.tile << ", GAPSPZ1 slices)\n"
             << "route: " << route << ", cache " << cache_mb
             << " MiB split as " << per_shard_mb << " MiB/shard";
   if (route == "process") {
@@ -621,15 +615,9 @@ int run_query(const Args& args) {
   if (routed) return run_query_routed(args, path, route);
   if (args.has("shard")) return run_query_shard_slice(args, path);
 
-  const auto store = core::open_store(path);  // raw or GAPSPZ1, auto-detected
+  const auto store = core::open_store(path);
 
   auto qopt = engine_options_from_flags(args);
-  // Raw stores verify against the GAPSPSM1 sidecar when one sits next to
-  // the store; GAPSPZ1 frames are self-checksummed.
-  if (store->tile_size() == 0) {
-    core::load_store_checksums(core::checksum_sidecar_path(path),
-                               qopt.checksums);
-  }
   qopt.repair = make_repair_source(args);
 
   sim::FaultPlan chaos;
@@ -638,29 +626,19 @@ int run_query(const Args& args) {
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) qopt.faults = &chaos_injector;
 
-  const bool verified = qopt.verify_checksums && qopt.checksums.present();
   const service::QueryEngine engine(*store, qopt);
+  const auto info = core::compressed_store_info(path);
   std::cout << "store: " << path << " (n=" << store->n() << ", "
-            << (static_cast<std::uint64_t>(store->n()) * store->n() *
-                sizeof(dist_t) >> 10)
-            << " KiB";
-  if (store->tile_size() > 0) {
-    const auto info = core::compressed_store_info(path);
-    std::cout << " raw; compressed to " << (info.file_bytes >> 10) << " KiB, "
-              << static_cast<double>(info.raw_bytes) /
-                     static_cast<double>(info.file_bytes)
-              << "x, " << info.inf_tiles << "/" << info.tiles
-              << " all-kInf tiles";
-  }
-  std::cout << ")\ncache: " << (qopt.cache_bytes >> 20) << " MiB in "
-            << qopt.cache_shards << " shards, "
-            << (store->tile_size() > 0 ? store->tile_size() : qopt.block_size)
-            << "-wide blocks\n"
-            << "integrity: "
-            << (store->tile_size() > 0 ? "GAPSPZ1 frame checksums"
-                : verified             ? "GAPSPSM1 sidecar verification"
-                                       : "off (no sidecar)")
-            << ", " << qopt.retry.max_retries << " retries"
+            << (info.raw_bytes >> 10) << " KiB raw; compressed to "
+            << (info.file_bytes >> 10) << " KiB, "
+            << static_cast<double>(info.raw_bytes) /
+                   static_cast<double>(info.file_bytes)
+            << "x, " << info.inf_tiles << "/" << info.tiles
+            << " all-kInf tiles)\ncache: " << (qopt.cache_bytes >> 20)
+            << " MiB in " << qopt.cache_shards << " shards, "
+            << store->tile_size() << "-wide blocks\n"
+            << "integrity: GAPSPZ1 frame checksums, "
+            << qopt.retry.max_retries << " retries"
             << (qopt.repair ? ", repair=recompute" : "");
   if (qopt.max_queue > 0) std::cout << ", max-queue " << qopt.max_queue;
   if (chaos.p_store_read > 0.0) {
@@ -685,11 +663,10 @@ int run_query(const Args& args) {
 int run_shard(const Args& args) {
   const std::string path = args.get_or("store-path", "apsp_dist.bin");
   const int num = static_cast<int>(args.get_int_or("shards", 2));
-  const auto tile = static_cast<vidx_t>(args.get_int_or("block", 256));
   core::ShardingStats stats;
-  const auto m = core::shard_store_file(path, num, tile, &stats);
-  std::cout << "sharded: " << path << " -> " << m.num_shards() << " shards ("
-            << (m.compressed ? "GAPSPZ1" : "raw") << ", n=" << m.n
+  const auto m = core::shard_store_file(path, num, /*tile=*/0, &stats);
+  std::cout << "sharded: " << path << " -> " << m.num_shards()
+            << " shards (GAPSPZ1, n=" << m.n
             << ", tile " << m.tile << ", " << (stats.bytes_written >> 10)
             << " KiB) in " << stats.seconds * 1e3 << " ms\n";
   for (int k = 0; k < m.num_shards(); ++k) {
@@ -725,8 +702,6 @@ int run_scrub(const Args& args) {
   const std::string path = args.get_or("store-path", "apsp_dist.bin");
   core::ScrubOptions sopt;
   sopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
-  sopt.write_sums = args.has("write-sums");
-  sopt.tile = static_cast<vidx_t>(args.get_int_or("block", 256));
   sopt.repair_fn = make_repair_source(args);
   sopt.repair = static_cast<bool>(sopt.repair_fn);
 
@@ -737,18 +712,9 @@ int run_scrub(const Args& args) {
   if (chaos.p_store_read > 0.0) sopt.faults = &chaos_injector;
 
   const auto report = core::scrub_store(path, sopt);
-  std::cout << "scrub: " << path << " ("
-            << (report.compressed ? "GAPSPZ1" : "raw") << ", n=" << report.n
+  std::cout << "scrub: " << path << " (GAPSPZ1, n=" << report.n
             << ", tile=" << report.tile << ", " << report.tiles
             << " tiles)\n";
-  if (!report.compressed) {
-    std::cout << "sidecar: "
-              << (report.sums_written   ? "written"
-                  : report.sums_present ? "present"
-                                        : "absent (checks limited to "
-                                          "readability; --write-sums to add)")
-              << "\n";
-  }
   std::cout << "damage: " << report.corrupt << " corrupt, " << report.repaired
             << " repaired, " << report.unrepaired << " unrepaired\n";
   for (const auto& t : report.damaged) {
@@ -769,8 +735,6 @@ int run_compact(const Args& args) {
   const std::string out = args.get_or("out", in);
   const auto tile = static_cast<vidx_t>(args.get_int_or("block", 256));
   const auto cs = core::compact_store(in, out, tile);
-  // GAPSPZ1 frames are self-checksummed; a raw-era sidecar would go stale.
-  std::remove(core::checksum_sidecar_path(out).c_str());
   std::cout << "compacted: " << in << " -> " << out << "\n"
             << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
             << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio() << "x, "
@@ -793,16 +757,6 @@ std::uint64_t file_size_bytes(const std::string& path) {
   return bytes;
 }
 
-/// First `len` bytes of `path` (shorter when the file is), for magic sniffs.
-std::string file_magic(const std::string& path, std::size_t len) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string magic(len, '\0');
-  magic.resize(std::fread(magic.data(), 1, len, f));
-  std::fclose(f);
-  return magic;
-}
-
 /// Removes every shard sidecar of `path` (manifest + shard files), because
 /// the bytes they slice are about to change. Tolerates a corrupt manifest:
 /// the files are removed by probing, not by trusting its count.
@@ -820,38 +774,34 @@ void remove_shard_sidecars(const std::string& path) {
 /// sibling tmp copy and atomically replaces the store only when complete, so
 /// a kill mid-update leaves the pristine matrix plus a GAPSPCK1 delta
 /// sidecar that --resume continues bit-identically. Sidecars derived from
-/// the old bytes (.cal, .shards) are invalidated; a .sum sidecar is
-/// refreshed in place.
+/// the old bytes (.cal, .shards) are invalidated.
 int run_update(const Args& args) {
   const std::string path = args.get_or("store-path", "apsp_dist.bin");
   const auto upath = args.get("updates");
   GAPSP_CHECK(upath.has_value(),
               "update needs --updates FILE (one `u v w` arc per line; w = "
               "inf/x/-1 deletes) plus the solve's --generate/--input/--seed");
+  auto pristine = core::open_store(path);
   const graph::CsrGraph g = make_graph(args);
   const auto updates = core::read_edge_updates(*upath);
-
-  auto pristine = core::open_store(path);  // raw or GAPSPZ1, auto-detected
   const vidx_t n = pristine->n();
   GAPSP_CHECK(
       n == g.num_vertices(),
       "store " + path + " holds n=" + std::to_string(n) +
           " but the graph has n=" + std::to_string(g.num_vertices()) +
           " — pass the exact --generate/--input/--seed the solve used");
-  const bool compressed = pristine->tile_size() > 0;
 
   core::IncrementalOptions opt;
   opt.damage_threshold = args.get_double_or(
       "update-threshold", core::IncrementalOptions{}.damage_threshold);
-  opt.tile = compressed ? pristine->tile_size()
-                        : static_cast<vidx_t>(args.get_int_or("block", 256));
+  opt.tile = pristine->tile_size();
   opt.checkpoint_path = args.get_or("checkpoint", path + ".updck");
   opt.resume = args.has("resume");
   opt.checkpoint_every_tiles = args.get_int_or("checkpoint-every", 64);
 
   // The repair lands in a raw sibling copy; the pristine store — which a
   // resumed run must re-read byte-identically — is replaced only by the
-  // final rename/compaction.
+  // final compaction.
   const std::string tmp = path + ".upd.tmp";
   const std::uint64_t raw_bytes = static_cast<std::uint64_t>(n) *
                                   static_cast<std::uint64_t>(n) *
@@ -903,24 +853,8 @@ int run_update(const Args& args) {
   // old bytes (the invalidation matrix in DESIGN.md §16).
   target.reset();
   pristine.reset();
-  if (compressed) {
-    core::compact_store(tmp, path, opt.tile);  // atomic tmp+rename inside
-    std::remove(tmp.c_str());
-    // GAPSPZ1 frames are self-checksummed; a raw-era sidecar would go stale.
-    std::remove(core::checksum_sidecar_path(path).c_str());
-  } else {
-    GAPSP_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot rename " + tmp + " over " + path);
-    // Refresh the checksum sidecar when the store carries one.
-    core::StoreChecksums sums;
-    if (core::load_store_checksums(core::checksum_sidecar_path(path), sums)) {
-      auto repaired = core::open_file_store(path);
-      const auto fresh = core::compute_store_checksums(*repaired, sums.tile);
-      core::write_store_checksums(fresh, core::checksum_sidecar_path(path));
-      std::cout << "sidecar: refreshed " << core::checksum_sidecar_path(path)
-                << "\n";
-    }
-  }
+  core::compact_store(tmp, path, opt.tile);  // atomic tmp+rename inside
+  std::remove(tmp.c_str());
   if (std::remove((path + ".cal").c_str()) == 0) {
     std::cout << "sidecar: invalidated " << path << ".cal (calibration was "
               << "fit against the old store)\n";
@@ -931,9 +865,8 @@ int run_update(const Args& args) {
               << " + shard files (re-shard with `apsp_cli shard`)\n";
   }
 
-  std::cout << "update: " << path << " (n=" << n << ", "
-            << (compressed ? "GAPSPZ1" : "raw") << ", tile " << opt.tile
-            << ")\n"
+  std::cout << "update: " << path << " (n=" << n << ", GAPSPZ1, tile "
+            << opt.tile << ")\n"
             << "batch: " << updates.size() << " updates -> " << out.decreases
             << " decreases, " << out.increases << " increases, " << out.noops
             << " noops\n";
@@ -978,53 +911,31 @@ int run_info(const Args& args) {
   }
   std::cout << "store: " << path << " (" << (file_size_bytes(path) >> 10)
             << " KiB)\n";
-  vidx_t n = 0;
-  if (core::is_compressed_store(path)) {
-    const auto info = core::compressed_store_info(path);
-    n = info.n;
-    std::cout << "format: GAPSPZ1 block-compressed\n"
-              << "n: " << info.n << "\ntile: " << info.tile << " ("
-              << info.tiles_per_side << " per side, " << info.inf_tiles << "/"
-              << info.tiles << " all-kInf)\n"
-              << "compression: " << (info.raw_bytes >> 10) << " KiB raw -> "
-              << (info.file_bytes >> 10) << " KiB ("
-              << static_cast<double>(info.raw_bytes) /
-                     static_cast<double>(info.file_bytes)
-              << "x)\n";
-  } else if (file_magic(path, 8) == "GAPSPSD1") {
+  if (core::is_shard_file(path)) {
     std::cout << "format: GAPSPSD1 shard slice (one row range of a sharded "
               << "store; `info` on the parent store reads the manifest)\n";
     return 0;
-  } else {
-    const auto store = core::open_file_store(path);  // throws if not square
-    n = store->n();
-    std::cout << "format: raw row-major dist_t matrix\nn: " << n << "\n";
   }
+  // A raw matrix is an IoError here, naming `apsp_cli compact`.
+  const auto info = core::compressed_store_info(path);
+  std::cout << "format: GAPSPZ1 block-compressed\n"
+            << "n: " << info.n << "\ntile: " << info.tile << " ("
+            << info.tiles_per_side << " per side, " << info.inf_tiles << "/"
+            << info.tiles << " all-kInf)\n"
+            << "compression: " << (info.raw_bytes >> 10) << " KiB raw -> "
+            << (info.file_bytes >> 10) << " KiB ("
+            << static_cast<double>(info.raw_bytes) /
+                   static_cast<double>(info.file_bytes)
+            << "x)\n";
 
   // ---- sidecar health ---------------------------------------------------
-  const std::string sum_path = core::checksum_sidecar_path(path);
-  if (file_size_bytes(sum_path) == 0) {
-    std::cout << "checksums: absent (" << sum_path << ")\n";
-  } else {
-    try {
-      core::StoreChecksums sums;
-      core::load_store_checksums(sum_path, sums);
-      std::cout << "checksums: present (" << sum_path << ", tile "
-                << sums.tile << ", " << sums.sums.size() << " tiles"
-                << (sums.n == n ? "" : ", STALE: n mismatch") << ")\n";
-    } catch (const Error& e) {
-      std::cout << "checksums: INVALID (" << sum_path << ": " << e.what()
-                << ")\n";
-    }
-  }
   const std::string cal_path = path + ".cal";
   if (file_size_bytes(cal_path) == 0) {
     std::cout << "calibration: absent (" << cal_path << ")\n";
   } else {
     std::cout << "calibration: "
-              << (file_magic(cal_path, 9) == "GAPSPCAL1" ? "present"
-                                                         : "INVALID (bad "
-                                                           "magic)")
+              << (core::calibration_file_valid(cal_path) ? "present"
+                                                         : "INVALID")
               << " (" << cal_path << ")\n";
   }
   const std::string manifest_path = core::shard_manifest_path(path);
@@ -1041,8 +952,7 @@ int run_info(const Args& args) {
           ++missing;
         }
       }
-      std::cout << "shards: " << m.num_shards() << " ("
-                << (m.compressed ? "GAPSPZ1" : "raw") << " payloads, tile "
+      std::cout << "shards: " << m.num_shards() << " (GAPSPZ1 payloads, tile "
                 << m.tile << ")";
       if (missing > 0) {
         std::cout << " — " << missing << " shard file(s) missing or resized";
@@ -1333,36 +1243,22 @@ int run(const Args& args) {
     if (core::save_calibration(opts, store_path + ".cal")) {
       std::cout << "calibration: saved " << store_path << ".cal\n";
     }
-    if (!args.has("no-compress-store")) {
-      // The solve loop always writes the raw store (blocked FW rewrites
-      // every tile O(n_d) times); compression happens here, at the sink,
-      // once the matrix is final. Close the raw store first so buffered
-      // writes are flushed before compaction re-reads the file.
-      store.reset();
-      const auto cs = core::compact_store(store_path, store_path);
-      std::remove(core::checksum_sidecar_path(store_path).c_str());
-      r.metrics.store_raw_bytes = static_cast<std::size_t>(cs.raw_bytes);
-      r.metrics.store_compressed_bytes =
-          static_cast<std::size_t>(cs.compressed_bytes);
-      r.metrics.store_tiles = cs.tiles;
-      r.metrics.store_inf_tiles = cs.inf_tiles;
-      r.metrics.store_compact_seconds = cs.seconds;
-      std::cout << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
-                << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio()
-                << "x, " << cs.inf_tiles << "/" << cs.tiles
-                << " all-kInf tiles) in " << cs.seconds * 1e3 << " ms\n";
-    } else {
-      // The raw kept store has no framing to catch bit rot: write the
-      // GAPSPSM1 checksum sidecar so the serving tier can verify every
-      // cache-miss read (DESIGN.md §13). Close first to flush writes.
-      store.reset();
-      const auto ro = core::open_file_store(store_path);
-      const auto sums = core::compute_store_checksums(*ro);
-      core::write_store_checksums(sums,
-                                  core::checksum_sidecar_path(store_path));
-      std::cout << "store checksums: " << sums.sums.size() << " tile sums -> "
-                << core::checksum_sidecar_path(store_path) << "\n";
-    }
+    // The solve loop always writes the raw store (blocked FW rewrites every
+    // tile O(n_d) times); compression happens here, at the sink, once the
+    // matrix is final. Close the raw store first so buffered writes are
+    // flushed before compaction re-reads the file.
+    store.reset();
+    const auto cs = core::compact_store(store_path, store_path);
+    r.metrics.store_raw_bytes = static_cast<std::size_t>(cs.raw_bytes);
+    r.metrics.store_compressed_bytes =
+        static_cast<std::size_t>(cs.compressed_bytes);
+    r.metrics.store_tiles = cs.tiles;
+    r.metrics.store_inf_tiles = cs.inf_tiles;
+    r.metrics.store_compact_seconds = cs.seconds;
+    std::cout << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
+              << (cs.compressed_bytes >> 10) << " KiB (" << cs.ratio() << "x, "
+              << cs.inf_tiles << "/" << cs.tiles << " all-kInf tiles) in "
+              << cs.seconds * 1e3 << " ms\n";
     std::cout << "store kept: " << store_path
               << " (serve it with: apsp_cli query --store-path ...)\n";
   }
@@ -1383,9 +1279,9 @@ int main(int argc, char** argv) {
     const Args args(argc, argv);
     if (!args.positional().empty() && args.positional().front() == "query") {
       const auto unknown = args.unknown(
-          {"store-path", "point", "row", "batch", "cache-mb", "block",
-           "shards", "threads", "repeat", "retries", "max-queue",
-           "no-verify-sums", "repair", "generate", "input", "seed",
+          {"store-path", "point", "row", "batch", "cache-mb", "shards",
+           "threads", "repeat", "retries", "max-queue", "repair",
+           "generate", "input", "seed",
            "fault-store-read", "fault-seed", "route", "shard",
            "no-verify-shard", "worker-retries", "worker-timeout-ms",
            "kill-worker"});
@@ -1398,7 +1294,7 @@ int main(int argc, char** argv) {
       return run_query(args);
     }
     if (!args.positional().empty() && args.positional().front() == "shard") {
-      const auto unknown = args.unknown({"store-path", "shards", "block"});
+      const auto unknown = args.unknown({"store-path", "shards"});
       if (!unknown.empty()) {
         std::cerr << "unknown shard flag(s):";
         for (const auto& f : unknown) std::cerr << " --" << f;
@@ -1409,8 +1305,8 @@ int main(int argc, char** argv) {
     }
     if (!args.positional().empty() && args.positional().front() == "serve") {
       const auto unknown = args.unknown(
-          {"store-path", "shard", "cache-mb", "block", "shards", "threads",
-           "retries", "no-verify-shard", "exit-after"});
+          {"store-path", "shard", "cache-mb", "shards", "threads", "retries",
+           "no-verify-shard", "exit-after"});
       if (!unknown.empty()) {
         std::cerr << "unknown serve flag(s):";
         for (const auto& f : unknown) std::cerr << " --" << f;
@@ -1422,7 +1318,7 @@ int main(int argc, char** argv) {
     if (!args.positional().empty() && args.positional().front() == "scrub") {
       const auto unknown = args.unknown(
           {"store-path", "repair", "generate", "input", "seed", "retries",
-           "write-sums", "block", "fault-store-read", "fault-seed"});
+           "fault-store-read", "fault-seed"});
       if (!unknown.empty()) {
         std::cerr << "unknown scrub flag(s):";
         for (const auto& f : unknown) std::cerr << " --" << f;
@@ -1434,8 +1330,8 @@ int main(int argc, char** argv) {
     if (!args.positional().empty() && args.positional().front() == "update") {
       const auto unknown = args.unknown(
           {"store-path", "updates", "update-threshold", "checkpoint",
-           "checkpoint-every", "resume", "block", "generate", "input",
-           "seed", "save-graph"});
+           "checkpoint-every", "resume", "generate", "input", "seed",
+           "save-graph"});
       if (!unknown.empty()) {
         std::cerr << "unknown update flag(s):";
         for (const auto& f : unknown) std::cerr << " --" << f;
@@ -1469,7 +1365,7 @@ int main(int argc, char** argv) {
         {"input", "generate", "seed", "algorithm", "device", "memory-mb",
          "components", "no-batching", "no-overlap", "no-dp",
          "sparse-threshold", "dense-threshold", "store", "store-path",
-         "keep-store", "no-compress-store", "store-ratio", "query", "path",
+         "keep-store", "store-ratio", "query", "path",
          "trace", "stats", "sssp-kernel", "partitioner", "devices",
          "per-component", "save", "verify", "fault-seed", "fault-h2d",
          "fault-d2h", "fault-kernel", "fault-alloc", "fault-decode",

@@ -166,8 +166,9 @@ struct ApspMetrics {
   /// High-water mark of pinned-host staging used by the transfer pipeline.
   std::size_t pinned_peak_bytes = 0;
 
-  /// Microkernel variant the kernel engine actually ran with ("naive" |
-  /// "tiled" | "tiled-reg"; the autotuner's pick when configured auto).
+  /// Microkernel variant the kernel engine actually ran with
+  /// (kernel_variant_name: "naive" | "tiled" | "tiled-reg" | "simd" |
+  /// "tensor"; the autotuner's pick when configured auto).
   std::string kernel_variant;
 
   // Algorithm-specific (0 when not applicable).

@@ -24,7 +24,8 @@ struct ZHeader {
   std::int64_t tiles_per_side;
   std::uint64_t payload_bytes;  ///< sum of directory entry sizes
   std::uint64_t dir_checksum;   ///< fnv1a over the directory array
-  std::uint64_t reserved[2];
+  std::uint64_t frame_format;   ///< kZ1FrameFormat; other values rejected
+  std::uint64_t reserved;
 };
 static_assert(sizeof(ZHeader) == 64, "GAPSPZ1 header layout drifted");
 
@@ -83,6 +84,7 @@ ZIndex read_index(std::FILE* f, const std::string& path) {
   if (n <= 0 || tile <= 0 || tile > n || tps != (n + tile - 1) / tile) {
     throw CorruptError(path + ": corrupt GAPSPZ1 geometry");
   }
+  z1_require_frame_format(ix.h.frame_format, path);
   const auto num_tiles =
       static_cast<std::uint64_t>(tps) * static_cast<std::uint64_t>(tps);
   ix.dir.resize(static_cast<std::size_t>(num_tiles));
@@ -250,6 +252,7 @@ StoreCompactionStats write_compressed_store(const DistStore& src,
   h.n = n;
   h.tile = tile;
   h.tiles_per_side = tps;
+  h.frame_format = kZ1FrameFormat;
   std::vector<ZDirEntry> dir(static_cast<std::size_t>(tps) *
                              static_cast<std::size_t>(tps));
 

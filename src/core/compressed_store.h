@@ -13,7 +13,8 @@
 //
 // File layout (same-machine binary, like the GAPSPCK1 sidecars):
 //   ZHeader (64 bytes: magic "GAPSPZ1\0", n, tile, tiles_per_side,
-//            payload_bytes, directory checksum)
+//            payload_bytes, directory checksum, frame_format, 8 reserved
+//            bytes; frame_format must equal kZ1FrameFormat, see z1_codec.h)
 //   directory: tiles_per_side² × {u64 offset, u64 bytes}, row-major tiles;
 //              bytes == 0 marks an all-kInf tile with no stored payload
 //   payload: concatenated z1 frames, one per non-empty tile
@@ -110,8 +111,9 @@ CompressedDirectory read_compressed_directory(const std::string& path);
 /// stream — callers serialize concurrent reads (QueryEngine's miss path
 /// already does). tile_size() reports the stored tiling so caches can align
 /// to it, and block_known_inf() answers from the directory alone. A raw
-/// matrix is rejected with IoError naming `apsp_cli compact`; a damaged
-/// header or directory is CorruptError.
+/// matrix is rejected with IoError naming `apsp_cli compact`, a store of
+/// another frame format with IoError naming the re-solve; a damaged header
+/// or directory is CorruptError.
 std::unique_ptr<DistStore> open_store(const std::string& path);
 
 }  // namespace gapsp::core

@@ -43,7 +43,7 @@ struct ShardHeader {
   std::int64_t row_end;
   std::uint64_t flags;
   std::uint64_t dir_checksum;  ///< fnv1a over the slice directory
-  std::uint64_t reserved;
+  std::uint64_t frame_format;  ///< kZ1FrameFormat; other values rejected
 };
 static_assert(sizeof(ShardHeader) == 64, "GAPSPSD1 header layout drifted");
 
@@ -198,6 +198,7 @@ void write_z1_shard(std::FILE* src, const std::string& src_path,
   h.row_end = r.row_end;
   h.flags = kFlagCompressed;
   h.dir_checksum = fnv1a(slice.data(), entries * sizeof(SliceDirEntry));
+  h.frame_format = kZ1FrameFormat;
   write_exact(file.f, &h, sizeof(h), tmp);
   write_exact(file.f, slice.data(), entries * sizeof(SliceDirEntry), tmp);
 
@@ -545,6 +546,7 @@ std::unique_ptr<DistStore> open_shard_slice(const std::string& store_path,
     throw CorruptError(path + ": shard header disagrees with the manifest");
   }
   require_compressed(h.flags, path);
+  z1_require_frame_format(h.frame_format, path);
 
   const std::int64_t tps = (h.n + h.tile - 1) / h.tile;
   const std::int64_t row_blocks =

@@ -26,7 +26,8 @@
 //   shard file `<store>.shard.K` (magic GAPSPSD1):
 //     64-byte header: magic, i64 n, i64 tile, i64 row_begin, i64 row_end,
 //                     u64 flags (bit0 = compressed, always set),
-//                     u64 dir_checksum, 8 reserved bytes
+//                     u64 dir_checksum, u64 frame_format (kZ1FrameFormat,
+//                     z1_codec.h; any other value is rejected at open)
 //     payload:        row_blocks×col_blocks × {u64 offset, u64 bytes}
 //                     directory (bytes == 0 ⇒ all-kInf tile), then the z1
 //                     frames; dir_checksum covers the directory array
@@ -106,7 +107,8 @@ bool load_shard_manifest(const std::string& path, ShardManifest& out);
 /// aligns to shard boundaries. With `verify` set the shard file is
 /// checksummed against the manifest before serving and a mismatch throws
 /// CorruptError; a header that disagrees with the manifest or has its
-/// compressed flag clear throws CorruptError either way.
+/// compressed flag clear throws CorruptError either way, and a frame_format
+/// other than kZ1FrameFormat throws IoError naming the re-solve.
 std::unique_ptr<DistStore> open_shard_slice(const std::string& store_path,
                                             const ShardManifest& manifest,
                                             int k, bool verify = true);

@@ -3,8 +3,8 @@
 // transfer path (transfer_codec.h). Factored out of the store so working
 // tiles of any size/alignment can ride the same frames.
 //
-// Frame layout:
-//   frame := u64 raw_len | u64 fnv1a(raw) | sequences
+// Frame layout (frame format 2):
+//   frame := u64 raw_len | u64 xxh64(raw, seed 0) | sequences
 //   sequence := token (hi nibble literal count, lo nibble match length − 4,
 //               15 = extended by 255-continuation bytes) | literal-length
 //               extension | literals | u16 LE offset | match-length extension
@@ -12,7 +12,17 @@
 // them. Matches are greedy hash-probed with a fast path for 4-byte-periodic
 // runs (kInf blocks match themselves at offset 4 without hashing every
 // position). Decoding is strictly bounds-checked: truncated or corrupt
-// frames throw CorruptError and never read or write out of bounds.
+// frames throw CorruptError and never read or write out of bounds. Its fast
+// path copies short literal runs as one 16-byte block and matches with
+// offset >= 8 (or the offset-4 kInf pattern) as 8-byte chunks only where
+// those wider writes still land inside the output; the bytes they write
+// past a sequence are overwritten by the next one, and the content
+// checksum covers every output byte.
+//
+// Frame format: GAPSPZ1 and GAPSPSD1 headers record kZ1FrameFormat. Format
+// 2 carries the XXH64 checksum; the FNV-1a frames of older builds (format
+// 0) are rejected at open, and a compressed GAPSPCK1 payload of that age
+// fails its checksum, so a resumed run starts fresh.
 //
 // Incompressible early-out: before the greedy match, the encoder runs a
 // cheap sampled-entropy probe (z1_probe_compressible). Tiles the probe
@@ -23,9 +33,20 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace gapsp::core {
+
+/// Frame format written by this build into the GAPSPZ1 and GAPSPSD1 headers.
+inline constexpr std::uint64_t kZ1FrameFormat = 2;
+
+/// Throws IoError naming the fix (re-solve with --keep-store, re-shard)
+/// unless `format` is kZ1FrameFormat. `path` names the file in the message.
+void z1_require_frame_format(std::uint64_t format, const std::string& path);
+
+/// XXH64 with seed 0: the frame content checksum.
+std::uint64_t xxh64(const void* data, std::size_t len);
 
 /// Cheap compressibility probe: samples up to a few KiB of `src` at an even
 /// stride and estimates the byte entropy plus the 4-byte-periodic run mass.

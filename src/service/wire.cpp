@@ -40,6 +40,9 @@ struct Unpacker {
     if (len > in.size() - pos) {
       throw CorruptError("wire payload truncated");
     }
+    // An empty row's data() may be null, and memcpy with a null pointer
+    // is undefined even for zero bytes.
+    if (len == 0) return;
     std::memcpy(p, in.data() + pos, len);
     pos += len;
   }

@@ -1,10 +1,14 @@
 // Block-compressed store (GAPSPZ1, DESIGN.md §11) coverage: the z1 codec on
-// known patterns, the store against the raw DistStore oracle (full
-// decompress must be bit-identical), compaction as the one raw→GAPSPZ1
-// converter and open_store's rejection of raw matrices, directory-answered all-kInf tiles, corruption rejection, and the
-// compressed checkpoint sidecar payloads.
+// known patterns, its XXH64 content checksum, the frame-body pin, the
+// decoder's fast-path edges against hand-built frames, the store against
+// the raw DistStore oracle (full decompress must be bit-identical),
+// compaction as the one raw→GAPSPZ1 converter and open_store's rejection of
+// raw matrices and of other frame formats, directory-answered all-kInf
+// tiles, corruption rejection, and the compressed checkpoint sidecar
+// payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -14,6 +18,7 @@
 #include "core/apsp.h"
 #include "core/checkpoint.h"
 #include "core/compressed_store.h"
+#include "core/shard_store.h"
 #include "graph/generators.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -108,9 +113,151 @@ void expect_stores_bit_identical(const DistStore& a, const DistStore& b) {
   }
 }
 
+/// Builds a z1 frame sequence by sequence next to the bytes it must decode
+/// to: an oracle for the decoder that does not go through the encoder.
+struct FrameBuilder {
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> raw;
+
+  void put_len(std::size_t rem) {
+    for (; rem >= 255; rem -= 255) body.push_back(255);
+    body.push_back(static_cast<std::uint8_t>(rem));
+  }
+  /// Literals, then a match of `match_len` at `offset` (0 = final sequence).
+  void sequence(const std::vector<std::uint8_t>& lits, std::size_t offset,
+                std::size_t match_len) {
+    const std::size_t lit_nib = std::min<std::size_t>(lits.size(), 15);
+    const std::size_t match_nib =
+        match_len == 0 ? 0 : std::min<std::size_t>(match_len - 4, 15);
+    body.push_back(static_cast<std::uint8_t>((lit_nib << 4) | match_nib));
+    if (lit_nib == 15) put_len(lits.size() - 15);
+    body.insert(body.end(), lits.begin(), lits.end());
+    raw.insert(raw.end(), lits.begin(), lits.end());
+    if (match_len == 0) return;
+    body.push_back(static_cast<std::uint8_t>(offset & 0xff));
+    body.push_back(static_cast<std::uint8_t>(offset >> 8));
+    if (match_nib == 15) put_len(match_len - 4 - 15);
+    for (std::size_t i = 0; i < match_len; ++i) {
+      raw.push_back(raw[raw.size() - offset]);
+    }
+  }
+  std::vector<std::uint8_t> frame() const {
+    std::vector<std::uint8_t> f(16);
+    const std::uint64_t len = raw.size();
+    const std::uint64_t sum = xxh64(raw.data(), raw.size());
+    std::memcpy(f.data(), &len, 8);
+    std::memcpy(f.data() + 8, &sum, 8);
+    f.insert(f.end(), body.begin(), body.end());
+    return f;
+  }
+};
+
+std::vector<std::uint8_t> ramp(std::size_t len, std::uint8_t start) {
+  std::vector<std::uint8_t> v(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    v[i] = static_cast<std::uint8_t>(start + 29 * i);
+  }
+  return v;
+}
+
+/// One literal run of `lead` bytes, a match at `offset`, then `tail` final
+/// literals: the match ends `tail` bytes before the output end and 1 + tail
+/// bytes before the frame end.
+FrameBuilder one_match(std::size_t lead, std::size_t offset,
+                       std::size_t match_len, std::size_t tail) {
+  FrameBuilder b;
+  b.sequence(ramp(lead, 3), offset, match_len);
+  b.sequence(ramp(tail, 101), 0, 0);
+  return b;
+}
+
+/// Decodes `frame` from an exact-size copy into an exact-size buffer, so a
+/// sanitizer build sees any read or write past either end.
+std::vector<std::uint8_t> decode_exact(const std::vector<std::uint8_t>& frame,
+                                       std::size_t cut, std::size_t dst_len) {
+  const std::vector<std::uint8_t> in(frame.begin(),
+                                     frame.begin() + static_cast<long>(cut));
+  std::vector<std::uint8_t> out(dst_len);
+  z1_decompress(in.data(), in.size(), out.data(), out.size());
+  return out;
+}
+
+/// The fixed corpus of the frame-body pin: solved road:24x24 distance tiles
+/// (ragged 100-wide grid), an all-kInf tile, random bytes on both sides of
+/// the compressibility probe, a small-alphabet random tile (short matches at
+/// many offsets) and the u16-offset boundary case.
+std::vector<std::vector<std::uint8_t>> pin_corpus() {
+  std::vector<std::vector<std::uint8_t>> corpus;
+  const auto add = [&](const void* p, std::size_t bytes) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    corpus.emplace_back(b, b + bytes);
+  };
+  const auto g = graph::make_road(24, 24, 1);
+  const auto ram = solve_to_ram(g);
+  const vidx_t n = ram->n();
+  const vidx_t tile = 100;
+  std::vector<dist_t> buf;
+  for (vidx_t r0 = 0; r0 < n; r0 += tile) {
+    for (vidx_t c0 = 0; c0 < n; c0 += tile) {
+      const vidx_t rows = std::min(tile, n - r0);
+      const vidx_t cols = std::min(tile, n - c0);
+      buf.resize(static_cast<std::size_t>(rows) * cols);
+      ram->read_block(r0, c0, rows, cols, buf.data(),
+                      static_cast<std::size_t>(cols));
+      add(buf.data(), buf.size() * sizeof(dist_t));
+    }
+  }
+  const std::vector<dist_t> inf(64 * 64, kInf);
+  add(inf.data(), inf.size() * sizeof(dist_t));
+  Rng rng(7);
+  for (const std::size_t len : {std::size_t{1000}, std::size_t{32768}}) {
+    std::vector<std::uint8_t> noise(len);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_u64());
+    corpus.push_back(std::move(noise));
+  }
+  std::vector<std::uint8_t> small(8192);
+  for (auto& b : small) b = static_cast<std::uint8_t>(rng.next_below(6));
+  corpus.push_back(std::move(small));
+  std::vector<std::uint8_t> motif(64);
+  for (std::size_t i = 0; i < motif.size(); ++i) {
+    motif[i] = static_cast<std::uint8_t>(0xA1 + 37 * i);
+  }
+  for (const std::size_t gap : {std::size_t{65535}, std::size_t{65536}}) {
+    std::vector<std::uint8_t> far(motif);
+    far.resize(motif.size() + gap, 0);
+    far.insert(far.end(), motif.begin(), motif.end());
+    corpus.push_back(std::move(far));
+  }
+  return corpus;
+}
+
 // ---------------------------------------------------------------------------
 // z1 codec
 // ---------------------------------------------------------------------------
+
+TEST(Z1Codec, Xxh64KnownAnswers) {
+  EXPECT_EQ(xxh64(nullptr, 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64("a", 1), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+}
+
+TEST(Z1Codec, FrameBodiesArePinned) {
+  // Digest of every frame minus its 8-byte checksum field over a fixed
+  // corpus, recorded before the checksum moved from FNV-1a to XXH64: the
+  // greedy parse, hence every frame size and byte on disk or on the
+  // modeled wire, must not move.
+  std::uint64_t digest = fnv1a(nullptr, 0);
+  for (const auto& raw : pin_corpus()) {
+    const auto frame = z1_compress(raw.data(), raw.size());
+    ASSERT_GE(frame.size(), 16u);
+    digest = fnv1a(frame.data(), 8, digest);
+    digest = fnv1a(frame.data() + 16, frame.size() - 16, digest);
+    std::vector<std::uint8_t> back(raw.size());
+    z1_decompress(frame.data(), frame.size(), back.data(), back.size());
+    ASSERT_EQ(back, raw);
+  }
+  EXPECT_EQ(digest, 0x39edc3cc729f0bbaull);
+}
 
 TEST(Z1Codec, RoundTripKnownPatterns) {
   expect_round_trip({});
@@ -167,6 +314,29 @@ TEST(Z1Codec, TruncatedFramesThrow) {
   EXPECT_THROW(z1_decompress(frame.data(), frame.size(), dst.data(),
                              dst.size() * sizeof(dist_t) - 4),
                IoError);
+  // Fast-path edges: matches at offsets 1-8 ending 0-24 bytes before the
+  // frame end, every prefix cut into an exact-size buffer (no slack for an
+  // over-read to land in).
+  for (std::size_t offset = 1; offset <= 8; ++offset) {
+    for (const std::size_t match_len : {std::size_t{4}, std::size_t{17}}) {
+      for (std::size_t tail = 0; tail <= 24; tail += 3) {
+        const FrameBuilder b = one_match(16, offset, match_len, tail);
+        const auto f = b.frame();
+        EXPECT_EQ(decode_exact(f, f.size(), b.raw.size()), b.raw);
+        for (std::size_t cut = 0; cut < f.size(); ++cut) {
+          EXPECT_THROW(decode_exact(f, cut, b.raw.size()), IoError)
+              << "offset " << offset << " tail " << tail << " cut " << cut;
+        }
+      }
+    }
+  }
+  // A match or literal run claiming more than the output is rejected near
+  // the output end as well as far from it.
+  for (const std::size_t tail : {std::size_t{0}, std::size_t{40}}) {
+    auto f = one_match(16, 8, 12, tail).frame();
+    ++f[16];  // first token: the match grows by one byte
+    EXPECT_THROW(decode_exact(f, f.size(), 28 + tail), IoError);
+  }
 }
 
 TEST(Z1Codec, DegenerateTileSizes) {
@@ -182,6 +352,41 @@ TEST(Z1Codec, DegenerateTileSizes) {
   dist_t back = 0;
   z1_decompress(frame.data(), frame.size(), &back, sizeof(back));
   EXPECT_EQ(back, one);
+  // Every size around the decoder's 16-byte literal and 8-byte match
+  // blocks: constant, kInf-periodic and short-period content.
+  Rng rng(3);
+  for (std::size_t len = 0; len <= 72; ++len) {
+    std::vector<std::uint8_t> flat(len, 0x5a);
+    std::vector<std::uint8_t> periodic(len);
+    std::vector<std::uint8_t> mixed(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      periodic[i] = static_cast<std::uint8_t>(kInf >> (8 * (i % 4)));
+      mixed[i] = static_cast<std::uint8_t>(i % 3 == 0 ? rng.next_below(256)
+                                                      : i % 7);
+    }
+    expect_round_trip(flat);
+    expect_round_trip(periodic);
+    expect_round_trip(mixed);
+  }
+  // Hand-built frames: offsets 1-8 right at the start of the output
+  // (lead == offset) and far from it, each match ending 0-33 bytes before
+  // the output end, so both the fast path and the bounds-checked
+  // fallback see every offset near both ends.
+  for (std::size_t offset = 1; offset <= 8; ++offset) {
+    for (const std::size_t lead : {offset, std::size_t{40}}) {
+      for (const std::size_t match_len :
+           {std::size_t{4}, std::size_t{8}, std::size_t{9}, std::size_t{18},
+            std::size_t{19}, std::size_t{300}}) {
+        for (std::size_t tail = 0; tail <= 33; ++tail) {
+          const FrameBuilder b = one_match(lead, offset, match_len, tail);
+          EXPECT_EQ(decode_exact(b.frame(), b.frame().size(), b.raw.size()),
+                    b.raw)
+              << "offset " << offset << " lead " << lead << " match "
+              << match_len << " tail " << tail;
+        }
+      }
+    }
+  }
 }
 
 TEST(Z1Codec, MatchOffsetsAtTheU16Boundary) {
@@ -202,6 +407,24 @@ TEST(Z1Codec, MatchOffsetsAtTheU16Boundary) {
     buf.resize(motif.size() + gap, 0);
     buf.insert(buf.end(), motif.begin(), motif.end());
     expect_round_trip(buf);
+  }
+  // The far copy ending 0-33 bytes before the output end: the longest
+  // offset meets the chunked match copy's end-of-buffer fallback.
+  for (std::size_t tail = 0; tail <= 33; ++tail) {
+    std::vector<std::uint8_t> buf(motif);
+    buf.resize(65535, 0);  // second copy at the largest legal offset
+    buf.insert(buf.end(), motif.begin(), motif.end());
+    for (std::size_t i = 0; i < tail; ++i) {
+      buf.push_back(static_cast<std::uint8_t>(0x40 + 11 * i));
+    }
+    expect_round_trip(buf);
+  }
+  for (const std::size_t tail : {std::size_t{0}, std::size_t{7},
+                                 std::size_t{31}, std::size_t{32}}) {
+    FrameBuilder b;
+    b.sequence(ramp(65535, 9), 65535, 24);
+    b.sequence(ramp(tail, 77), 0, 0);
+    EXPECT_EQ(decode_exact(b.frame(), b.frame().size(), b.raw.size()), b.raw);
   }
   // Total sizes at the boundary as well (length-extension edge cases).
   for (const std::size_t len :
@@ -422,6 +645,56 @@ TEST(CompressedStore, CorruptionIsRejectedNotServed) {
   std::remove(zpath.c_str());
 }
 
+TEST(CompressedStore, OtherFrameFormatsAreRejectedAtOpen) {
+  const auto g = graph::make_road(8, 8, 9);
+  const auto ram = solve_to_ram(g);
+  const std::string zpath = tmp_path("format");
+  // A version mismatch is not damage: plain IoError naming the re-solve.
+  const auto expect_format_error = [](const auto& open) {
+    try {
+      open();
+      ADD_FAILURE() << "opened a frame_format 0 file";
+    } catch (const CorruptError& e) {
+      ADD_FAILURE() << "format mismatch reported as damage: " << e.what();
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("--keep-store"), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto set_format = [](const std::string& path, std::size_t at,
+                             std::uint64_t format) {
+    auto bytes = read_file(path);
+    std::uint64_t was = 0;
+    std::memcpy(&was, bytes.data() + at, sizeof(was));
+    EXPECT_EQ(was, kZ1FrameFormat) << path;
+    std::memcpy(bytes.data() + at, &format, sizeof(format));
+    write_file(path, bytes);
+  };
+
+  // GAPSPZ1: frame_format is the header's u64 at byte 48.
+  write_compressed_store(*ram, zpath, /*tile=*/16);
+  set_format(zpath, 48, 0);
+  expect_format_error([&] { open_store(zpath); });
+  expect_format_error([&] { compressed_store_info(zpath); });
+  expect_format_error([&] { shard_store_file(zpath, 2); });
+
+  // GAPSPSD1: frame_format is the slice header's u64 at byte 56.
+  write_compressed_store(*ram, zpath, /*tile=*/16);
+  const ShardManifest m = shard_store_file(zpath, 2);
+  EXPECT_NE(open_shard_slice(zpath, m, 0), nullptr);
+  set_format(shard_file_path(zpath, 0), 56, 0);
+  expect_format_error([&] { open_shard_slice(zpath, m, 0, /*verify=*/false); });
+  // The whole-file check against the manifest sees the edit first.
+  EXPECT_THROW(open_shard_slice(zpath, m, 0, /*verify=*/true), CorruptError);
+  EXPECT_NE(open_shard_slice(zpath, m, 1), nullptr);
+
+  for (int k = 0; k < m.num_shards(); ++k) {
+    std::remove(shard_file_path(zpath, k).c_str());
+  }
+  std::remove(shard_manifest_path(zpath).c_str());
+  std::remove(zpath.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Compressed checkpoint sidecars
 // ---------------------------------------------------------------------------
@@ -454,6 +727,38 @@ TEST(CompressedCheckpoint, SidecarPayloadShrinksAndRoundTrips) {
   EXPECT_EQ(back.aux0, ck.aux0);
   EXPECT_EQ(back.aux1, ck.aux1);
   EXPECT_EQ(back.payload, ck.payload);  // callers always see raw bytes
+  std::remove(path.c_str());
+}
+
+TEST(CompressedCheckpoint, OlderFrameFormatPayloadStartsFresh) {
+  // A sidecar whose compressed payload carries a format-0 frame (FNV-1a
+  // content checksum) under a valid outer checksum: there is no decode
+  // path for it, so resume declines and the run starts over.
+  Checkpoint ck;
+  ck.algorithm = 2;
+  ck.fingerprint = 5;
+  std::vector<dist_t> dists(4096, kInf);
+  ck.payload.resize(dists.size() * sizeof(dist_t));
+  std::memcpy(ck.payload.data(), dists.data(), ck.payload.size());
+  const std::string path = tmp_path("ck_old");
+  write_checkpoint(path, ck);
+  auto bytes = read_file(path);
+  const auto frame = z1_compress(ck.payload.data(), ck.payload.size());
+  ASSERT_GT(bytes.size(), frame.size() + 8);
+  const std::size_t at = bytes.size() - 8 - frame.size();  // payload start
+  ASSERT_TRUE(std::equal(frame.begin(), frame.end(), bytes.begin() + at));
+  // The outer checksum is FNV-1a over header + payload.
+  const auto reseal_and_read = [&] {
+    const std::uint64_t outer = fnv1a(bytes.data(), bytes.size() - 8);
+    std::memcpy(bytes.data() + bytes.size() - 8, &outer, sizeof(outer));
+    write_file(path, bytes);
+    Checkpoint back;
+    return read_checkpoint(path, &back);
+  };
+  EXPECT_TRUE(reseal_and_read());
+  const std::uint64_t old_sum = fnv1a(ck.payload.data(), ck.payload.size());
+  std::memcpy(bytes.data() + at + 8, &old_sum, sizeof(old_sum));
+  EXPECT_FALSE(reseal_and_read());
   std::remove(path.c_str());
 }
 

@@ -82,7 +82,8 @@
 // store of a previous solve and serves point/row/batch queries through the
 // block-cached query engine, printing cache and latency metrics. Every
 // subcommand that reads a kept store rejects a raw matrix with exit 4 and
-// points at `apsp_cli compact`:
+// points at `apsp_cli compact`; a store or shard slice whose z1 frames are of
+// another format (an older build's) also exits 4, naming the re-solve:
 //
 //   apsp_cli --generate road:24x24 --store file --store-path d.bin --keep-store
 //   apsp_cli query --store-path d.bin --point 0,100 --row 5

@@ -100,11 +100,11 @@ struct ApspOptions {
   TransferCompression transfer_compression = TransferCompression::kAuto;
 
   // ---- kernel engine (DESIGN.md §9) ----
-  /// Min-plus microkernel variant run inside the simulated kernels. kAuto
-  /// micro-benchmarks the candidates once per process and caches the winner.
-  /// Every variant produces bit-identical distances; the choice affects host
-  /// wall-clock only, never the simulated timeline.
-  KernelVariant kernel_variant = KernelVariant::kAuto;
+  /// Min-plus microkernel variant run inside the simulated kernels: kTensor
+  /// (the production kernel) or kNaive (the reference). Both produce
+  /// bit-identical distances; the choice affects host wall-clock only, never
+  /// the simulated timeline.
+  KernelVariant kernel_variant = KernelVariant::kTensor;
   /// Host threads executing the blocks of a grid launch (Device::
   /// launch_grid): 0 = the whole global pool, 1 = serial. Purely a
   /// wall-clock knob; results and the simulated timeline are identical for
@@ -166,9 +166,8 @@ struct ApspMetrics {
   /// High-water mark of pinned-host staging used by the transfer pipeline.
   std::size_t pinned_peak_bytes = 0;
 
-  /// Microkernel variant the kernel engine actually ran with
-  /// (kernel_variant_name: "naive" | "tiled" | "tiled-reg" | "simd" |
-  /// "tensor"; the autotuner's pick when configured auto).
+  /// Microkernel variant the kernel engine ran with (kernel_variant_name:
+  /// "naive" | "tensor").
   std::string kernel_variant;
 
   // Algorithm-specific (0 when not applicable).

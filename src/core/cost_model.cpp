@@ -270,11 +270,11 @@ std::string calibration_cache_key(const ApspOptions& opts) {
   // changes their cost must be part of the key — keying on the device alone
   // would let two configs on the same device silently share stale
   // calibrations (e.g. overlap on/off changes block sizes and hidden
-  // transfer time, the kernel variant changes measured kernel seconds).
+  // transfer time). The kernel variant is not part of it: the fit reads the
+  // simulated kernel seconds, which no variant moves.
   return opts.device.name + "/" + std::to_string(opts.device.memory_bytes) +
          "/ov" + std::to_string(opts.overlap_transfers ? 1 : 0) + "/bt" +
-         std::to_string(opts.batch_transfers ? 1 : 0) + "/kv" +
-         std::to_string(static_cast<int>(opts.kernel_variant)) + "/qf" +
+         std::to_string(opts.batch_transfers ? 1 : 0) + "/qf" +
          std::to_string(opts.johnson_queue_factor) + "/ft" +
          std::to_string(opts.fw_tile) + "/tc" +
          std::to_string(static_cast<int>(opts.transfer_compression));
@@ -434,17 +434,15 @@ namespace {
 
 /// Fills the variant-aware host-side fields of an estimate: `ops` is the
 /// scalar min-plus op count of the algorithm (minplus_ops convention, add +
-/// compare = 2), priced at the autotuner's measured per-element constant for
-/// the variant the run would resolve to. Host wall-clock only — total() and
-/// the selector's ordering stay on the variant-invariant simulated timeline.
+/// compare = 2), priced at the measured per-element constant of the
+/// configured variant. Host wall-clock only — total() and the selector's
+/// ordering stay on the variant-invariant simulated timeline.
 void apply_kernel_variant(CostBreakdown& cost, const ApspOptions& opts,
                           double ops) {
-  KernelVariant v = opts.kernel_variant;
-  const KernelTuning tuning = kernel_tuning();
-  if (v == KernelVariant::kAuto) v = tuning.winner;
+  const KernelVariant v = opts.kernel_variant;
   cost.kernel_rel_speed = kernel_variant_rel_speed(v);
-  const int idx = kernel_variant_index(v);
-  if (idx >= 0) cost.host_minplus_s = ops * tuning.seconds_per_op[idx];
+  cost.host_minplus_s =
+      ops * kernel_tuning().seconds_per_op[kernel_variant_index(v)];
 }
 
 }  // namespace

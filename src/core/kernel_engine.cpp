@@ -1,11 +1,9 @@
 #include "core/kernel_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "core/minplus.h"
@@ -14,29 +12,12 @@
 namespace gapsp::core {
 namespace {
 
-// Blocking parameters. kKTile keeps a strip of B rows hot while the output
-// rows stream past; the register block holds a kRegRows×kRegCols patch of C
-// in (vectorizable) locals across the whole k loop, so C is loaded and
-// stored once per patch instead of once per k.
-constexpr vidx_t kKTile = 64;
-constexpr vidx_t kRowTile = 64;
-constexpr int kRegRows = 4;
-constexpr int kRegCols = 16;
-
-std::mutex g_tune_mu;
-std::atomic<KernelVariant> g_variant{KernelVariant::kAuto};
+std::atomic<KernelVariant> g_variant{KernelVariant::kTensor};
 std::atomic<int> g_threads{0};
-std::atomic<KernelVariant> g_autotuned{KernelVariant::kAuto};
 
-// Per-variant host timings from the last autotune run, published under
-// g_table_mu (the autotuner measures into locals first, so this lock never
-// nests with g_tune_mu held by another thread's resolve path).
-std::mutex g_table_mu;
-KernelTuning g_tuning;
-
-/// True when the simd/tensor entry points may run the vector TU: either it
-/// was built without AVX2 codegen (NEON/autovec — always safe), or the CPU
-/// we actually landed on supports AVX2. Checked once, outside the AVX2 TU.
+/// True when the tensor entry point may run the vector TU: either it was
+/// built without AVX2 codegen (NEON/autovec — always safe), or the CPU we
+/// actually landed on supports AVX2. Checked once, outside the AVX2 TU.
 bool simd_runtime_ok() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   static const bool ok =
@@ -47,43 +28,40 @@ bool simd_runtime_ok() {
   return ok;
 }
 
-}  // namespace
+KernelTuning measure_kernel_tuning() {
+  // FW-shaped working set: 128³ is large enough to expose the cache/register
+  // behaviour and small enough (~2 ms per variant) to pay once per process.
+  constexpr vidx_t n = 128;
+  const std::size_t elems = static_cast<std::size_t>(n) * n;
+  std::vector<dist_t> a(elems), b(elems), c0(elems), c(elems);
+  Rng rng(0x9e3779b9u);
+  for (auto& x : a) x = static_cast<dist_t>(rng.next_in(1, 1000));
+  for (auto& x : b) x = static_cast<dist_t>(rng.next_in(1, 1000));
+  for (auto& x : c0) x = static_cast<dist_t>(rng.next_in(500, 2000));
 
-namespace detail {
-
-void minplus_scalar_block(dist_t* c, std::size_t ldc, const dist_t* a,
-                          std::size_t lda, const dist_t* b, std::size_t ldb,
-                          vidx_t r_lo, vidx_t r_hi, vidx_t nk, vidx_t c_lo,
-                          vidx_t c_hi) {
-  if (c_lo >= c_hi) return;
-  for (vidx_t r = r_lo; r < r_hi; ++r) {
-    dist_t* __restrict crow = c + static_cast<std::size_t>(r) * ldc;
-    const dist_t* __restrict arow = a + static_cast<std::size_t>(r) * lda;
-    for (vidx_t k = 0; k < nk; ++k) {
-      const dist_t aval = arow[k];
-      if (aval >= kInf) continue;
-      const dist_t* __restrict brow = b + static_cast<std::size_t>(k) * ldb;
-      for (vidx_t col = c_lo; col < c_hi; ++col) {
-        crow[col] = std::min(crow[col], aval + brow[col]);
-      }
+  const double ops = minplus_ops(n, n, n);
+  KernelTuning tuning;
+  for (const KernelVariant v : {KernelVariant::kNaive, KernelVariant::kTensor}) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      c = c0;
+      const auto t0 = std::chrono::steady_clock::now();
+      minplus_accum_variant(v, c.data(), n, a.data(), n, b.data(), n, n, n,
+                            n);
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
     }
+    tuning.seconds_per_op[kernel_variant_index(v)] = best / ops;
   }
+  return tuning;
 }
 
-}  // namespace detail
+}  // namespace
 
 const char* kernel_variant_name(KernelVariant v) {
   switch (v) {
-    case KernelVariant::kAuto:
-      return "auto";
     case KernelVariant::kNaive:
       return "naive";
-    case KernelVariant::kTiled:
-      return "tiled";
-    case KernelVariant::kTiledReg:
-      return "tiled-reg";
-    case KernelVariant::kSimd:
-      return "simd";
     case KernelVariant::kTensor:
       return "tensor";
   }
@@ -91,32 +69,13 @@ const char* kernel_variant_name(KernelVariant v) {
 }
 
 int kernel_variant_index(KernelVariant v) {
-  switch (v) {
-    case KernelVariant::kAuto:
-      return -1;
-    case KernelVariant::kNaive:
-      return 0;
-    case KernelVariant::kTiled:
-      return 1;
-    case KernelVariant::kTiledReg:
-      return 2;
-    case KernelVariant::kSimd:
-      return 3;
-    case KernelVariant::kTensor:
-      return 4;
-  }
-  return -1;
+  return v == KernelVariant::kNaive ? 0 : 1;
 }
 
 KernelVariant parse_kernel_variant(const std::string& name) {
-  if (name == "auto") return KernelVariant::kAuto;
   if (name == "naive") return KernelVariant::kNaive;
-  if (name == "tiled") return KernelVariant::kTiled;
-  if (name == "tiled-reg") return KernelVariant::kTiledReg;
-  if (name == "simd") return KernelVariant::kSimd;
   if (name == "tensor") return KernelVariant::kTensor;
-  throw Error("unknown kernel variant: " + name +
-              " (want auto | naive | tiled | tiled-reg | simd | tensor)");
+  throw Error("unknown kernel variant: " + name + " (want naive | tensor)");
 }
 
 void set_kernel_config(const KernelConfig& cfg) {
@@ -132,87 +91,19 @@ KernelConfig kernel_config() {
 }
 
 KernelVariant resolved_kernel_variant() {
-  const KernelVariant v = g_variant.load(std::memory_order_relaxed);
-  if (v != KernelVariant::kAuto) return v;
-  KernelVariant tuned = g_autotuned.load(std::memory_order_acquire);
-  if (tuned == KernelVariant::kAuto) {
-    std::lock_guard<std::mutex> lk(g_tune_mu);
-    tuned = g_autotuned.load(std::memory_order_relaxed);
-    if (tuned == KernelVariant::kAuto) {
-      tuned = autotune_kernel_variant();
-      g_autotuned.store(tuned, std::memory_order_release);
-    }
-  }
-  return tuned;
-}
-
-KernelVariant autotune_kernel_variant() {
-  // FW-shaped working set: 128³ is large enough to expose the cache/register
-  // behaviour and small enough (~2 ms per candidate) to pay once per
-  // process. All candidates produce identical distances, so a noisy winner
-  // costs performance only, never correctness. Candidates run in enum order
-  // and ties keep the earlier (simpler) kernel, so the ordering below is
-  // also the tie-break policy (DESIGN.md §12).
-  constexpr vidx_t n = 128;
-  const std::size_t elems = static_cast<std::size_t>(n) * n;
-  std::vector<dist_t> a(elems), b(elems), c0(elems), c(elems);
-  Rng rng(0x9e3779b9u);
-  for (auto& x : a) x = static_cast<dist_t>(rng.next_in(1, 1000));
-  for (auto& x : b) x = static_cast<dist_t>(rng.next_in(1, 1000));
-  for (auto& x : c0) x = static_cast<dist_t>(rng.next_in(500, 2000));
-
-  const std::array<KernelVariant, kNumKernelVariants> candidates{
-      KernelVariant::kNaive, KernelVariant::kTiled, KernelVariant::kTiledReg,
-      KernelVariant::kSimd, KernelVariant::kTensor};
-  const double ops = minplus_ops(n, n, n);
-  KernelTuning tuning;
-  KernelVariant best = KernelVariant::kTiledReg;
-  double best_s = std::numeric_limits<double>::infinity();
-  for (KernelVariant v : candidates) {
-    double v_best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      c = c0;
-      const auto t0 = std::chrono::steady_clock::now();
-      minplus_accum_variant(v, c.data(), n, a.data(), n, b.data(), n, n, n,
-                            n);
-      const auto t1 = std::chrono::steady_clock::now();
-      v_best = std::min(v_best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    tuning.seconds_per_op[kernel_variant_index(v)] = v_best / ops;
-    if (v_best < best_s) {
-      best_s = v_best;
-      best = v;
-    }
-  }
-  tuning.measured = true;
-  tuning.winner = best;
-  {
-    std::lock_guard<std::mutex> lk(g_table_mu);
-    g_tuning = tuning;
-  }
-  // Also warm the kAuto cache so a kernel_tuning() call (e.g. from the cost
-  // model) does not trigger a second measurement on the resolve path.
-  g_autotuned.store(best, std::memory_order_release);
-  return best;
+  return g_variant.load(std::memory_order_relaxed);
 }
 
 KernelTuning kernel_tuning() {
-  {
-    std::lock_guard<std::mutex> lk(g_table_mu);
-    if (g_tuning.measured) return g_tuning;
-  }
-  autotune_kernel_variant();
-  std::lock_guard<std::mutex> lk(g_table_mu);
-  return g_tuning;
+  static const KernelTuning tuning = measure_kernel_tuning();
+  return tuning;
 }
 
 double kernel_variant_rel_speed(KernelVariant v) {
+  if (v == KernelVariant::kNaive) return 1.0;  // the reference
   const KernelTuning tuning = kernel_tuning();
-  if (v == KernelVariant::kAuto) v = tuning.winner;
-  const int idx = kernel_variant_index(v);
-  if (idx <= 0) return 1.0;  // kNaive is the reference (or unmapped)
   const double naive = tuning.seconds_per_op[0];
-  const double mine = tuning.seconds_per_op[idx];
+  const double mine = tuning.seconds_per_op[kernel_variant_index(v)];
   if (!(naive > 0.0) || !(mine > 0.0)) return 1.0;
   return naive / mine;
 }
@@ -220,6 +111,9 @@ double kernel_variant_rel_speed(KernelVariant v) {
 void minplus_accum_naive(dist_t* c, std::size_t ldc, const dist_t* a,
                          std::size_t lda, const dist_t* b, std::size_t ldb,
                          vidx_t nr, vidx_t nk, vidx_t nc) {
+  // The tensor kernel's ragged tails land here, often zero columns wide:
+  // return before scanning A for nothing.
+  if (nr <= 0 || nk <= 0 || nc <= 0) return;
   // r-k-c loop order: A[r][k] is hoisted, B row k and C row r stream
   // sequentially — cache-friendly and auto-vectorizable.
   for (vidx_t r = 0; r < nr; ++r) {
@@ -240,95 +134,14 @@ void minplus_accum_naive(dist_t* c, std::size_t ldc, const dist_t* a,
   }
 }
 
-void minplus_accum_tiled(dist_t* c, std::size_t ldc, const dist_t* a,
-                         std::size_t lda, const dist_t* b, std::size_t ldb,
-                         vidx_t nr, vidx_t nk, vidx_t nc) {
-  for (vidx_t k0 = 0; k0 < nk; k0 += kKTile) {
-    const vidx_t k1 = std::min<vidx_t>(nk, k0 + kKTile);
-    for (vidx_t r = 0; r < nr; ++r) {
-      const dist_t* __restrict arow = a + static_cast<std::size_t>(r) * lda;
-      // kInf-row skip hoisted to tile granularity: one scan decides the
-      // whole (row, k-tile) strip — unreachable row segments cost O(tile)
-      // instead of O(tile · nc) branch tests.
-      bool live = false;
-      for (vidx_t k = k0; k < k1 && !live; ++k) live = arow[k] < kInf;
-      if (!live) continue;
-      dist_t* __restrict crow = c + static_cast<std::size_t>(r) * ldc;
-      for (vidx_t k = k0; k < k1; ++k) {
-        const dist_t aval = arow[k];
-        if (aval >= kInf) continue;
-        const dist_t* __restrict brow = b + static_cast<std::size_t>(k) * ldb;
-        for (vidx_t col = 0; col < nc; ++col) {
-          crow[col] = std::min(crow[col], aval + brow[col]);
-        }
-      }
-    }
-  }
-}
-
-void minplus_accum_tiled_reg(dist_t* c, std::size_t ldc, const dist_t* a,
-                             std::size_t lda, const dist_t* b,
-                             std::size_t ldb, vidx_t nr, vidx_t nk,
-                             vidx_t nc) {
-  const vidx_t c_main = nc - nc % kRegCols;
-  for (vidx_t r0 = 0; r0 < nr; r0 += kRowTile) {
-    const vidx_t r1 = std::min<vidx_t>(nr, r0 + kRowTile);
-    const vidx_t r_main = r0 + (r1 - r0) - (r1 - r0) % kRegRows;
-    for (vidx_t cc = 0; cc < c_main; cc += kRegCols) {
-      for (vidx_t r = r0; r < r_main; r += kRegRows) {
-        // The accumulator patch lives in locals across the whole k loop;
-        // the branchless inner loop auto-vectorizes over kRegCols.
-        dist_t acc[kRegRows][kRegCols];
-        for (int i = 0; i < kRegRows; ++i) {
-          const dist_t* crow =
-              c + static_cast<std::size_t>(r + i) * ldc + cc;
-          for (int j = 0; j < kRegCols; ++j) acc[i][j] = crow[j];
-        }
-        for (vidx_t k = 0; k < nk; ++k) {
-          const dist_t* __restrict brow =
-              b + static_cast<std::size_t>(k) * ldb + cc;
-          for (int i = 0; i < kRegRows; ++i) {
-            const dist_t aval =
-                a[static_cast<std::size_t>(r + i) * lda + k];
-            if (aval >= kInf) continue;
-            for (int j = 0; j < kRegCols; ++j) {
-              acc[i][j] = std::min(acc[i][j], aval + brow[j]);
-            }
-          }
-        }
-        for (int i = 0; i < kRegRows; ++i) {
-          dist_t* crow = c + static_cast<std::size_t>(r + i) * ldc + cc;
-          for (int j = 0; j < kRegCols; ++j) crow[j] = acc[i][j];
-        }
-      }
-      // Rows of this tile that do not fill a register block.
-      detail::minplus_scalar_block(c, ldc, a, lda, b, ldb, r_main, r1, nk,
-                                   cc, cc + kRegCols);
-    }
-    // Columns that do not fill a register block.
-    detail::minplus_scalar_block(c, ldc, a, lda, b, ldb, r0, r1, nk, c_main,
-                                 nc);
-  }
-}
-
-void minplus_accum_simd(dist_t* c, std::size_t ldc, const dist_t* a,
-                        std::size_t lda, const dist_t* b, std::size_t ldb,
-                        vidx_t nr, vidx_t nk, vidx_t nc) {
-  // Bit-identical fallback when the binary's vector TU outruns this CPU:
-  // every variant computes the same entrywise min, so swapping kernels here
-  // changes host wall-clock only.
-  if (!simd_runtime_ok()) {
-    minplus_accum_tiled(c, ldc, a, lda, b, ldb, nr, nk, nc);
-    return;
-  }
-  detail::minplus_accum_simd_impl(c, ldc, a, lda, b, ldb, nr, nk, nc);
-}
-
 void minplus_accum_tensor(dist_t* c, std::size_t ldc, const dist_t* a,
                           std::size_t lda, const dist_t* b, std::size_t ldb,
                           vidx_t nr, vidx_t nk, vidx_t nc) {
+  // Bit-identical fallback when the binary's vector TU outruns this CPU:
+  // both variants compute the same entrywise min, so swapping kernels here
+  // changes host wall-clock only.
   if (!simd_runtime_ok()) {
-    minplus_accum_tiled(c, ldc, a, lda, b, ldb, nr, nk, nc);
+    minplus_accum_naive(c, ldc, a, lda, b, ldb, nr, nk, nc);
     return;
   }
   detail::minplus_accum_tensor_impl(c, ldc, a, lda, b, ldb, nr, nk, nc);
@@ -338,24 +151,10 @@ void minplus_accum_variant(KernelVariant v, dist_t* c, std::size_t ldc,
                            const dist_t* a, std::size_t lda, const dist_t* b,
                            std::size_t ldb, vidx_t nr, vidx_t nk, vidx_t nc) {
   if (nr <= 0 || nk <= 0 || nc <= 0) return;
-  if (v == KernelVariant::kAuto) v = resolved_kernel_variant();
-  switch (v) {
-    case KernelVariant::kNaive:
-      minplus_accum_naive(c, ldc, a, lda, b, ldb, nr, nk, nc);
-      return;
-    case KernelVariant::kTiled:
-      minplus_accum_tiled(c, ldc, a, lda, b, ldb, nr, nk, nc);
-      return;
-    case KernelVariant::kSimd:
-      minplus_accum_simd(c, ldc, a, lda, b, ldb, nr, nk, nc);
-      return;
-    case KernelVariant::kTensor:
-      minplus_accum_tensor(c, ldc, a, lda, b, ldb, nr, nk, nc);
-      return;
-    case KernelVariant::kAuto:
-    case KernelVariant::kTiledReg:
-      minplus_accum_tiled_reg(c, ldc, a, lda, b, ldb, nr, nk, nc);
-      return;
+  if (v == KernelVariant::kNaive) {
+    minplus_accum_naive(c, ldc, a, lda, b, ldb, nr, nk, nc);
+  } else {
+    minplus_accum_tensor(c, ldc, a, lda, b, ldb, nr, nk, nc);
   }
 }
 

@@ -1,10 +1,10 @@
-// Kernel engine: cache-blocked / register-blocked / vectorized min-plus
-// microkernel variants with a process-wide configuration and a startup
-// autotuner (DESIGN.md §9, §12). minplus_accum() dispatches through the
-// engine, so every dense kernel — OOC FW panels, boundary dist4 chains, the
-// in-core baseline — picks up the selected variant. All variants are
-// bit-identical: a cell's result is the min over the same candidate set, and
-// integer min is order-independent.
+// Kernel engine: the min-plus microkernel behind every dense kernel (DESIGN.md
+// §9, §12). minplus_accum() dispatches through the engine, so every dense
+// step — OOC FW panels, boundary dist4 chains, the in-core baseline — runs
+// the configured variant: `tensor`, the vector kernel over a lane-major
+// packed k-panel, or `naive`, the scalar reference the tests compare against.
+// Both are bit-identical: a cell's result is the min over the same candidate
+// set, and integer min is order-independent.
 #pragma once
 
 #include <cstddef>
@@ -15,28 +15,22 @@
 namespace gapsp::core {
 
 enum class KernelVariant {
-  kAuto,      ///< micro-benchmark the candidates once, cache the winner
-  kNaive,     ///< scalar r-k-c triple loop (the pre-engine kernel)
-  kTiled,     ///< k-tiled loops, kInf-row skip hoisted to tile granularity
-  kTiledReg,  ///< kTiled + 4×16 register accumulator block
-  kSimd,      ///< 8×16 lane-vector register tile (AVX2/NEON/autovec)
-  kTensor,    ///< kSimd over a lane-major packed k-panel (fused tiles)
+  kNaive,   ///< scalar r-k-c triple loop (the reference oracle)
+  kTensor,  ///< 8×16 lane-vector register tile over a packed k-panel
 };
 
-/// Number of concrete (non-kAuto) variants; the autotuner measures all of
-/// them, in enum order, and kernel_variant_index() maps into [0, this).
-inline constexpr int kNumKernelVariants = 5;
+/// Number of variants; kernel_variant_index() maps into [0, this).
+inline constexpr int kNumKernelVariants = 2;
 
 const char* kernel_variant_name(KernelVariant v);
 
-/// Dense index of a concrete variant (kNaive = 0 … kTensor = 4); -1 for
-/// kAuto. Used to address KernelTuning::seconds_per_op.
+/// Dense index of a variant (kNaive = 0, kTensor = 1). Used to address
+/// KernelTuning::seconds_per_op.
 int kernel_variant_index(KernelVariant v);
 
-/// Parses "auto" | "naive" | "tiled" | "tiled-reg" | "simd" | "tensor";
-/// throws on anything else. Both the CLI and the bench route their
-/// --kernel-variant values through here so an unknown name is an error
-/// everywhere, never a silent skip.
+/// Parses "naive" | "tensor"; throws on anything else. Both the CLI and the
+/// bench route their --kernel-variant values through here so an unknown name
+/// is an error everywhere, never a silent skip.
 KernelVariant parse_kernel_variant(const std::string& name);
 
 /// Process-wide kernel engine configuration. `threads` is the grid-parallel
@@ -44,104 +38,69 @@ KernelVariant parse_kernel_variant(const std::string& name);
 /// configure_kernels (0 = whole pool, 1 = serial); it never changes results
 /// or the simulated timeline, only host wall-clock.
 struct KernelConfig {
-  KernelVariant variant = KernelVariant::kAuto;
+  KernelVariant variant = KernelVariant::kTensor;
   int threads = 0;
 };
 
 void set_kernel_config(const KernelConfig& cfg);
 KernelConfig kernel_config();
 
-/// The variant minplus_accum actually runs: the configured one, or — when
-/// configured kAuto — the autotuner's cached winner (tuned once per
-/// process, on first use).
+/// The variant minplus_accum runs: the configured one.
 KernelVariant resolved_kernel_variant();
 
-/// Micro-benchmarks the candidate variants on an FW-shaped working set and
-/// returns the fastest (never kAuto). Results of all candidates are
-/// bit-identical, so a timing-noise-dependent winner is still correct.
-/// Also refreshes the process-wide KernelTuning table as a side effect.
-KernelVariant autotune_kernel_variant();
-
-/// Host-measured per-variant timings from the autotune working set:
-/// seconds_per_op[kernel_variant_index(v)] is the best-of-reps host seconds
-/// divided by the minplus_ops() of the tuning shape — the per-element
-/// constant the cost model scales by (DESIGN.md §12). Purely host
-/// wall-clock; the simulated timeline never depends on it.
+/// Host-measured per-variant timings on a 128³ FW-shaped working set:
+/// seconds_per_op[kernel_variant_index(v)] is the best-of-3 host seconds
+/// divided by the minplus_ops() of that shape — the per-element constant the
+/// cost model scales by (DESIGN.md §12). Purely host wall-clock; the
+/// simulated timeline never depends on it.
 struct KernelTuning {
-  bool measured = false;
-  KernelVariant winner = KernelVariant::kTiledReg;
   double seconds_per_op[kNumKernelVariants] = {};
 };
 
 /// Returns the tuning table, measuring it first if this process has not yet
-/// (lazy, thread-safe; one measurement per process unless
-/// autotune_kernel_variant() is called again explicitly).
+/// (lazy, thread-safe, once per process).
 KernelTuning kernel_tuning();
 
 /// Measured speed of `v` relative to kNaive on the tuning working set
 /// (e.g. 2.0 = half the host time per element). 1.0 for kNaive by
-/// definition; kAuto resolves to the tuned winner first.
+/// definition.
 double kernel_variant_rel_speed(KernelVariant v);
 
 // ---- vector-lane backend introspection (simd_lane.h) ----
 
-/// ISA the simd/tensor kernels were compiled against ("avx2" | "neon" |
-/// "autovec") and its lane width in dist_t elements.
+/// ISA the tensor kernel was compiled against ("avx2" | "neon" | "autovec")
+/// and its lane width in dist_t elements.
 const char* simd_lane_isa();
 int simd_lane_width();
-/// True when the simd/tensor TU was built with AVX2 code generation — the
-/// dispatcher then requires runtime AVX2 support (and falls back to the
-/// scalar tiled kernel, bit-identically, when the CPU lacks it).
+/// True when the tensor kernel's TU was built with AVX2 code generation —
+/// the dispatcher then requires runtime AVX2 support (and falls back to the
+/// naive kernel, bit-identically, when the CPU lacks it).
 bool simd_kernels_built_avx2();
 
-// ---- variant-explicit kernels (all compute C = min(C, A ⊗ B)) ----
+// ---- variant-explicit kernels (both compute C = min(C, A ⊗ B)) ----
 
 void minplus_accum_naive(dist_t* c, std::size_t ldc, const dist_t* a,
                          std::size_t lda, const dist_t* b, std::size_t ldb,
                          vidx_t nr, vidx_t nk, vidx_t nc);
 
-void minplus_accum_tiled(dist_t* c, std::size_t ldc, const dist_t* a,
-                         std::size_t lda, const dist_t* b, std::size_t ldb,
-                         vidx_t nr, vidx_t nk, vidx_t nc);
-
-void minplus_accum_tiled_reg(dist_t* c, std::size_t ldc, const dist_t* a,
-                             std::size_t lda, const dist_t* b,
-                             std::size_t ldb, vidx_t nr, vidx_t nk,
-                             vidx_t nc);
-
-/// Vector register-tile kernel (simd_lane.h backend; requires operands in
-/// [0, kInf] — the invariant every distance matrix here satisfies).
-void minplus_accum_simd(dist_t* c, std::size_t ldc, const dist_t* a,
-                        std::size_t lda, const dist_t* b, std::size_t ldb,
-                        vidx_t nr, vidx_t nk, vidx_t nc);
-
-/// Fused-tile layout kernel: packs each k-panel of B into contiguous
-/// lane-major tiles and runs the batched vector min-plus over them.
+/// Fused-tile layout kernel (simd_lane.h backend): packs each k-panel of B
+/// into contiguous lane-major tiles and runs the batched vector min-plus
+/// over them. Requires operands in [0, kInf] — the invariant every distance
+/// matrix here satisfies.
 void minplus_accum_tensor(dist_t* c, std::size_t ldc, const dist_t* a,
                           std::size_t lda, const dist_t* b, std::size_t ldb,
                           vidx_t nr, vidx_t nk, vidx_t nc);
 
-/// Runs one explicit variant (kAuto resolves first).
+/// Runs one explicit variant.
 void minplus_accum_variant(KernelVariant v, dist_t* c, std::size_t ldc,
                            const dist_t* a, std::size_t lda, const dist_t* b,
                            std::size_t ldb, vidx_t nr, vidx_t nk, vidx_t nc);
 
 namespace detail {
 
-/// Naive triple loop over a sub-rectangle of rows × [c_lo, c_hi) — the
-/// shared remainder path of the register-blocked and vector kernels.
-void minplus_scalar_block(dist_t* c, std::size_t ldc, const dist_t* a,
-                          std::size_t lda, const dist_t* b, std::size_t ldb,
-                          vidx_t r_lo, vidx_t r_hi, vidx_t nk, vidx_t c_lo,
-                          vidx_t c_hi);
-
-/// Backend entry points defined in kernel_engine_simd.cpp (possibly built
-/// with AVX2 codegen). Call only through minplus_accum_simd/_tensor, which
-/// apply the runtime CPU gate.
-void minplus_accum_simd_impl(dist_t* c, std::size_t ldc, const dist_t* a,
-                             std::size_t lda, const dist_t* b,
-                             std::size_t ldb, vidx_t nr, vidx_t nk,
-                             vidx_t nc);
+/// Backend entry point defined in kernel_engine_simd.cpp (possibly built
+/// with AVX2 codegen). Call only through minplus_accum_tensor, which applies
+/// the runtime CPU gate.
 void minplus_accum_tensor_impl(dist_t* c, std::size_t ldc, const dist_t* a,
                                std::size_t lda, const dist_t* b,
                                std::size_t ldb, vidx_t nr, vidx_t nk,

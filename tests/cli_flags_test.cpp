@@ -3,7 +3,8 @@
 // not silently serve the wrong thing), unknown flags — including the removed
 // raw-store flags — exit 2, a raw matrix handed to a serving subcommand
 // exits 4 naming `apsp_cli compact`, and the valid single-slice and routed
-// paths exit 0. Drives the real apsp_cli binary.
+// paths exit 0. The two kernel variants answer alike, and removed variant
+// names exit 1. Drives the real apsp_cli binary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -198,6 +199,47 @@ TEST_F(CliFlags, InfoReportsAFreshCalibrationSidecarPresent) {
   EXPECT_NE(out.find("calibration: present"), std::string::npos) << out;
   std::remove(kept.c_str());
   std::remove((kept + ".cal").c_str());
+}
+
+/// The `dist(U, V) = D` lines of a solve's output, in order.
+std::string query_answers(const std::string& out) {
+  std::string answers;
+  std::size_t pos = 0;
+  while ((pos = out.find("dist(", pos)) != std::string::npos) {
+    const std::size_t eol = out.find('\n', pos);
+    answers += out.substr(pos, eol - pos) + "\n";
+    pos = eol;
+  }
+  return answers;
+}
+
+TEST_F(CliFlags, KernelVariantsAnswerQueriesAlike) {
+  const std::string solve =
+      "--generate road:8x8 --query '0,63;5,40;63,0;17,17' --kernel-variant ";
+  std::string naive, tensor;
+  ASSERT_EQ(run_cli_output(cli, solve + "naive", naive), 0) << naive;
+  ASSERT_EQ(run_cli_output(cli, solve + "tensor", tensor), 0) << tensor;
+  EXPECT_NE(naive.find("kernel engine: naive microkernel"), std::string::npos)
+      << naive;
+  EXPECT_NE(tensor.find("kernel engine: tensor microkernel"),
+            std::string::npos)
+      << tensor;
+  ASSERT_NE(query_answers(naive), "");
+  EXPECT_EQ(query_answers(naive), query_answers(tensor));
+}
+
+TEST_F(CliFlags, RemovedKernelVariantsExitOne) {
+  for (const char* name : {"auto", "tiled", "tiled-reg", "simd"}) {
+    std::string out;
+    EXPECT_EQ(run_cli_output(cli,
+                             std::string("--generate road:8x8 --kernel-variant ") +
+                                 name,
+                             out),
+              1)
+        << name << ": " << out;
+    EXPECT_NE(out.find("naive | tensor"), std::string::npos)
+        << name << ": " << out;
+  }
 }
 
 TEST_F(CliFlags, ServeRequiresAShard) {

@@ -94,8 +94,8 @@ TEST(Calibration, CachedPerDeviceConfig) {
 
 TEST(Calibration, KeyedOnCostRelevantOptions) {
   // Regression: the cache key was device name + memory only, so flipping
-  // overlap_transfers, the kernel variant, or the Johnson queue factor
-  // returned a calibration measured under the *other* configuration.
+  // overlap_transfers or the Johnson queue factor returned a calibration
+  // measured under the *other* configuration.
   const auto base = model_opts();
   const Calibration& a = calibrate(base);
 
@@ -110,6 +110,35 @@ TEST(Calibration, KeyedOnCostRelevantOptions) {
   // Same cost-relevant options still share one entry.
   auto same = base;
   EXPECT_EQ(&calibrate(same), &a);
+}
+
+TEST(Calibration, KernelVariantSharesOneCalibration) {
+  // The fit reads simulated kernel seconds, which no microkernel variant
+  // moves: a naive run reuses the tensor calibration instead of probing
+  // again, and a fresh probe under either variant fits the same numbers.
+  auto naive = model_opts();
+  naive.device.name = "cal-variant-test";
+  naive.kernel_variant = KernelVariant::kNaive;
+  auto tensor = naive;
+  tensor.kernel_variant = KernelVariant::kTensor;
+  EXPECT_EQ(calibration_cache_key(naive), calibration_cache_key(tensor));
+
+  const long long runs = calibration_runs();
+  const Calibration by_naive = calibrate(naive);
+  EXPECT_EQ(calibration_runs(), runs + 1);
+  EXPECT_EQ(&calibrate(tensor), &calibrate(naive));
+  EXPECT_EQ(calibration_runs(), runs + 1);
+
+  clear_calibration_cache();
+  const Calibration& by_tensor = calibrate(tensor);
+  EXPECT_EQ(calibration_runs(), runs + 2);
+  EXPECT_EQ(by_tensor.fw_t0, by_naive.fw_t0);
+  EXPECT_EQ(by_tensor.fw_n0, by_naive.fw_n0);
+  EXPECT_EQ(by_tensor.fw_exponent, by_naive.fw_exponent);
+  EXPECT_EQ(by_tensor.bnd_t0, by_naive.bnd_t0);
+  EXPECT_EQ(by_tensor.bnd_n0, by_naive.bnd_n0);
+  EXPECT_EQ(by_tensor.bnd_exponent, by_naive.bnd_exponent);
+  EXPECT_EQ(by_tensor.c_unit, by_naive.c_unit);
 }
 
 TEST(TransferModels, CompressedSinkScalesOnlyTheOutputTerm) {
@@ -292,42 +321,26 @@ TEST(Estimates, HostMinplusTermIsVariantAware) {
                    2.0 * n * n * n * tuning.seconds_per_op[0]);
   EXPECT_DOUBLE_EQ(naive_est.kernel_rel_speed, 1.0);
 
-  for (const KernelVariant v :
-       {KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
-    auto opts = model_opts();
-    opts.kernel_variant = v;
-    const auto est = estimate_fw(g, opts);
-    EXPECT_DOUBLE_EQ(est.kernel_rel_speed, kernel_variant_rel_speed(v));
-    EXPECT_NEAR(est.host_minplus_s * est.kernel_rel_speed,
-                naive_est.host_minplus_s, naive_est.host_minplus_s * 1e-9);
-    // The simulated-timeline estimate is identical across variants, so the
-    // selector's ordering cannot be perturbed by host kernel speed.
-    EXPECT_DOUBLE_EQ(est.compute_s, naive_est.compute_s);
-  }
-}
-
-TEST(Estimates, AutoVariantPricesTheTunedWinner) {
-  const auto g = graph::make_erdos_renyi(150, 600, 89);
   auto opts = model_opts();
-  opts.kernel_variant = KernelVariant::kAuto;
+  opts.kernel_variant = KernelVariant::kTensor;
   const auto est = estimate_fw(g, opts);
-  const KernelTuning tuning = kernel_tuning();
-  auto explicit_opts = model_opts();
-  explicit_opts.kernel_variant = tuning.winner;
-  const auto want = estimate_fw(g, explicit_opts);
-  EXPECT_DOUBLE_EQ(est.host_minplus_s, want.host_minplus_s);
-  EXPECT_DOUBLE_EQ(est.kernel_rel_speed, want.kernel_rel_speed);
+  EXPECT_DOUBLE_EQ(est.kernel_rel_speed,
+                   kernel_variant_rel_speed(KernelVariant::kTensor));
+  EXPECT_NEAR(est.host_minplus_s * est.kernel_rel_speed,
+              naive_est.host_minplus_s, naive_est.host_minplus_s * 1e-9);
+  // The simulated-timeline estimate is identical across variants, so the
+  // selector's ordering cannot be perturbed by host kernel speed.
+  EXPECT_DOUBLE_EQ(est.compute_s, naive_est.compute_s);
 }
 
 TEST(Estimates, JohnsonHasNoHostMinplusTerm) {
   const auto g = graph::make_mesh(400, 12, 90);
   auto opts = model_opts();
-  opts.kernel_variant = KernelVariant::kSimd;
+  opts.kernel_variant = KernelVariant::kTensor;
   const auto est = estimate_johnson(g, opts, 3);
   EXPECT_DOUBLE_EQ(est.host_minplus_s, 0.0);
   EXPECT_DOUBLE_EQ(est.kernel_rel_speed,
-                   kernel_variant_rel_speed(KernelVariant::kSimd));
+                   kernel_variant_rel_speed(KernelVariant::kTensor));
 }
 
 TEST(Estimates, BoundaryHostTermTracksOperationCount) {

@@ -305,15 +305,15 @@ TEST_P(Z1Fuzz, RoundTripsExactlyAndRejectsDamageTyped) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Z1Fuzz, ::testing::Range(0, 36));
 
 // ---------------------------------------------------------------------------
-// Vector microkernel fuzzer (kernel_engine.h kSimd/kTensor): random tile
+// Vector microkernel fuzzer (kernel_engine.h kTensor): random tile
 // shapes × random kInf density × random leading dimensions and base-pointer
 // offsets, checked elementwise against the scalar naive oracle. The shapes
 // deliberately straddle the 8×16 register tile, the lane width and the
 // 64-deep k tile so lane tails, strip-liveness edges and the branch-free
 // saturation path all get hit; the random offsets make the unaligned
 // load/store paths real (an aligned-only assumption would fault or corrupt
-// here). Comparing the *whole* padded buffer also proves the kernels never
-// write outside the logical nr×nc window.
+// here). Comparing the *whole* padded buffer also proves the kernel never
+// writes outside the logical nr×nc window.
 // ---------------------------------------------------------------------------
 
 class SimdFuzz : public ::testing::TestWithParam<int> {};
@@ -350,16 +350,13 @@ TEST_P(SimdFuzz, VectorKernelsMatchScalarOracleAtAnyAlignment) {
     auto want = cbuf;
     minplus_accum_naive(want.data() + offc, ldc, abuf.data() + offa, lda,
                         bbuf.data() + offb, ldb, nr, nk, nc);
-    for (const KernelVariant v :
-         {KernelVariant::kSimd, KernelVariant::kTensor}) {
-      auto got = cbuf;
-      minplus_accum_variant(v, got.data() + offc, ldc, abuf.data() + offa,
-                            lda, bbuf.data() + offb, ldb, nr, nk, nc);
-      ASSERT_EQ(got, want) << kernel_variant_name(v) << " diverges at " << nr
-                           << "x" << nk << "x" << nc << " ld=(" << lda << ","
-                           << ldb << "," << ldc << ") off=(" << offa << ","
-                           << offb << "," << offc << ") p_inf=" << p_inf;
-    }
+    auto got = cbuf;
+    minplus_accum_tensor(got.data() + offc, ldc, abuf.data() + offa, lda,
+                         bbuf.data() + offb, ldb, nr, nk, nc);
+    ASSERT_EQ(got, want) << "tensor diverges at " << nr << "x" << nk << "x"
+                         << nc << " ld=(" << lda << "," << ldb << "," << ldc
+                         << ") off=(" << offa << "," << offb << "," << offc
+                         << ") p_inf=" << p_inf;
   }
 }
 

@@ -1,11 +1,10 @@
-// Differential kernel-conformance harness (ISSUE 6): every registered
-// min-plus microkernel variant must be bit-identical to kNaive — same
-// distances for every cell, no tolerance — across a corpus chosen to hit the
-// places vector kernels break: ragged tails at every blocking boundary,
+// Differential kernel-conformance harness: the tensor min-plus microkernel
+// must be bit-identical to kNaive — same distances for every cell, no
+// tolerance — across a corpus chosen to hit the places vector kernels break: ragged tails at every blocking boundary,
 // kInf-dense strips (the hoisted liveness skip must not change results),
 // aliased closed-operand panel forms (the FW call sites), and plain directed
 // asymmetry. The contract closes end-to-end with full solve_apsp parity,
-// including under a chaos fault schedule: variants may only move host
+// including under a chaos fault schedule: the variant may only move host
 // wall-clock, never distances, the simulated timeline, or the fault/retry
 // sequence.
 #include <gtest/gtest.h>
@@ -34,14 +33,6 @@ using test::tiny_device;
   return true;
 }();
 
-/// Every concrete variant that is not the oracle.
-const std::vector<KernelVariant>& non_naive_variants() {
-  static const std::vector<KernelVariant> v{
-      KernelVariant::kTiled, KernelVariant::kTiledReg, KernelVariant::kSimd,
-      KernelVariant::kTensor};
-  return v;
-}
-
 class KernelConformance : public ::testing::Test {
  protected:
   void TearDown() override { set_kernel_config(KernelConfig{}); }
@@ -58,9 +49,9 @@ std::vector<dist_t> random_matrix(vidx_t rows, vidx_t cols,
   return m;
 }
 
-/// Runs every non-naive variant against the naive oracle on one operand set
-/// and asserts bit-identical output.
-void expect_all_variants_match(const std::vector<dist_t>& a,
+/// Runs the tensor kernel against the naive oracle on one operand set and
+/// asserts bit-identical output.
+void expect_tensor_matches(const std::vector<dist_t>& a,
                                const std::vector<dist_t>& b,
                                const std::vector<dist_t>& c0, vidx_t nr,
                                vidx_t nk, vidx_t nc,
@@ -68,20 +59,18 @@ void expect_all_variants_match(const std::vector<dist_t>& a,
   auto want = c0;
   minplus_accum_naive(want.data(), nc, a.data(), nk, b.data(), nc, nr, nk,
                       nc);
-  for (const KernelVariant v : non_naive_variants()) {
-    auto got = c0;
-    minplus_accum_variant(v, got.data(), nc, a.data(), nk, b.data(), nc, nr,
-                          nk, nc);
-    ASSERT_EQ(got, want) << kernel_variant_name(v) << " diverges on " << what
-                         << " (" << nr << "x" << nk << "x" << nc << ")";
-  }
+  auto got = c0;
+  minplus_accum_tensor(got.data(), nc, a.data(), nk, b.data(), nc, nr, nk,
+                       nc);
+  ASSERT_EQ(got, want) << "tensor diverges on " << what << " (" << nr << "x"
+                       << nk << "x" << nc << ")";
 }
 
 TEST_F(KernelConformance, RandomizedRaggedCorpus) {
   // Shapes straddle every blocking boundary in play: the 8-row / 16-column
-  // vector register tile, the lane width, the 64-wide k tile, and the
-  // scalar kernels' 4×16 block — plus asymmetric nr/nk/nc so row, column
-  // and depth tails all appear, separately and together. Random directed
+  // vector register tile, the lane width and the 64-deep k-panel — plus
+  // asymmetric nr/nk/nc so row, column and depth tails all appear,
+  // separately and together. Random directed
   // weights are asymmetric by construction (d(i,j) independent of d(j,i)).
   const vidx_t sizes[] = {1, 2, 7, 8, 9, 15, 17, 31, 64, 65, 97};
   int case_no = 0;
@@ -90,7 +79,7 @@ TEST_F(KernelConformance, RandomizedRaggedCorpus) {
       for (const vidx_t nc : {sizes[0], sizes[5], sizes[9], sizes[10]}) {
         for (const double p_inf : {0.0, 0.4, 0.95}) {
           const std::uint64_t seed = 0xC0FFEEu + 7919u * ++case_no;
-          expect_all_variants_match(
+          expect_tensor_matches(
               random_matrix(nr, nk, seed, p_inf),
               random_matrix(nk, nc, seed + 1, p_inf),
               random_matrix(nr, nc, seed + 2, p_inf / 3), nr, nk, nc,
@@ -119,7 +108,7 @@ TEST_F(KernelConformance, KInfDenseStrips) {
         if (dead) a[static_cast<std::size_t>(r) * nk + k] = kInf;
       }
     }
-    expect_all_variants_match(a, random_matrix(nk, nc, 0xBEEF, 0.2),
+    expect_tensor_matches(a, random_matrix(nk, nc, 0xBEEF, 0.2),
                               random_matrix(nr, nc, 0xF00D, 0.5), nr, nk, nc,
                               "kInf strips pattern " + std::to_string(pattern));
   }
@@ -153,28 +142,22 @@ TEST_F(KernelConformance, AliasedClosedOperandForms) {
       const dist_t* b = f.c_is_b ? want.data() : d.data();
       minplus_accum_naive(want.data(), n, a, n, b, n, n, n, n);
     }
-    for (const KernelVariant v : non_naive_variants()) {
-      auto got = init;
-      const dist_t* a = f.c_is_a ? got.data() : d.data();
-      const dist_t* b = f.c_is_b ? got.data() : d.data();
-      minplus_accum_variant(v, got.data(), n, a, n, b, n, n, n, n);
-      ASSERT_EQ(got, want)
-          << kernel_variant_name(v) << " diverges on aliased " << f.name;
-    }
+    auto got = init;
+    const dist_t* a = f.c_is_a ? got.data() : d.data();
+    const dist_t* b = f.c_is_b ? got.data() : d.data();
+    minplus_accum_tensor(got.data(), n, a, n, b, n, n, n, n);
+    ASSERT_EQ(got, want) << "tensor diverges on aliased " << f.name;
   }
 }
 
 TEST_F(KernelConformance, TuningTableCoversEveryVariant) {
   const KernelTuning tuning = kernel_tuning();
-  EXPECT_TRUE(tuning.measured);
-  EXPECT_NE(tuning.winner, KernelVariant::kAuto);
   for (int i = 0; i < kNumKernelVariants; ++i) {
     EXPECT_GT(tuning.seconds_per_op[i], 0.0) << "variant index " << i;
   }
   EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kNaive), 1.0);
-  // kAuto prices as the winner it resolves to.
-  EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kAuto),
-                   kernel_variant_rel_speed(tuning.winner));
+  EXPECT_DOUBLE_EQ(kernel_variant_rel_speed(KernelVariant::kTensor),
+                   tuning.seconds_per_op[0] / tuning.seconds_per_op[1]);
 }
 
 TEST_F(KernelConformance, LaneBackendReportsSanely) {
@@ -215,28 +198,25 @@ TEST_P(SolveConformance, FullSolveParityForVectorVariants) {
   const auto base = solve_apsp(g, opts, *s_base);
   expect_store_matches_reference(g, *s_base, base);
 
-  for (const KernelVariant v :
-       {KernelVariant::kSimd, KernelVariant::kTensor}) {
-    for (const int threads : {1, 0}) {
-      ApspOptions alt = opts;
-      alt.kernel_variant = v;
-      alt.kernel_threads = threads;
-      auto s_alt = make_ram_store(g.num_vertices());
-      const auto r = solve_apsp(g, alt, *s_alt);
-      EXPECT_EQ(r.metrics.kernel_variant, kernel_variant_name(v));
-      EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
-      EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
-      EXPECT_EQ(r.metrics.total_ops, base.metrics.total_ops);
-      expect_stores_identical(*s_base, *s_alt);
-    }
+  for (const int threads : {1, 0}) {
+    ApspOptions alt = opts;
+    alt.kernel_variant = KernelVariant::kTensor;
+    alt.kernel_threads = threads;
+    auto s_alt = make_ram_store(g.num_vertices());
+    const auto r = solve_apsp(g, alt, *s_alt);
+    EXPECT_EQ(r.metrics.kernel_variant, "tensor");
+    EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
+    EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
+    EXPECT_EQ(r.metrics.total_ops, base.metrics.total_ops);
+    expect_stores_identical(*s_base, *s_alt);
   }
 }
 
 TEST_P(SolveConformance, ChaosScheduleParityForVectorVariants) {
   // Faults gate at launch granularity, before kernel bodies run: an
   // identical launch sequence implies an identical fault/retry schedule, so
-  // swapping in the vector microkernels must reproduce the whole chaotic
-  // run bit-for-bit.
+  // swapping in the vector microkernel must reproduce the whole chaotic run
+  // bit-for-bit.
   const auto g = graph::make_erdos_renyi(130, 700, 52);
   ApspOptions opts;
   opts.device = tiny_device(256u << 10);
@@ -254,19 +234,16 @@ TEST_P(SolveConformance, ChaosScheduleParityForVectorVariants) {
   auto s_base = make_ram_store(g.num_vertices());
   const auto base = solve_apsp(g, opts, *s_base);
 
-  for (const KernelVariant v :
-       {KernelVariant::kSimd, KernelVariant::kTensor}) {
-    ApspOptions alt = opts;
-    alt.kernel_variant = v;
-    alt.kernel_threads = 0;
-    auto s_alt = make_ram_store(g.num_vertices());
-    const auto r = solve_apsp(g, alt, *s_alt);
-    EXPECT_EQ(r.metrics.faults_injected, base.metrics.faults_injected);
-    EXPECT_EQ(r.metrics.kernel_retries, base.metrics.kernel_retries);
-    EXPECT_EQ(r.metrics.transfer_retries, base.metrics.transfer_retries);
-    EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
-    expect_stores_identical(*s_base, *s_alt);
-  }
+  ApspOptions alt = opts;
+  alt.kernel_variant = KernelVariant::kTensor;
+  alt.kernel_threads = 0;
+  auto s_alt = make_ram_store(g.num_vertices());
+  const auto r = solve_apsp(g, alt, *s_alt);
+  EXPECT_EQ(r.metrics.faults_injected, base.metrics.faults_injected);
+  EXPECT_EQ(r.metrics.kernel_retries, base.metrics.kernel_retries);
+  EXPECT_EQ(r.metrics.transfer_retries, base.metrics.transfer_retries);
+  EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
+  expect_stores_identical(*s_base, *s_alt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, SolveConformance,

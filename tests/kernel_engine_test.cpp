@@ -1,8 +1,8 @@
 // Kernel-engine equivalence suite (DESIGN.md §9).
 //
-// The contract under test: every microkernel variant and every grid-
-// execution thread setting produces bit-identical distances AND an
-// identical simulated timeline. The kernel engine is a host wall-clock
+// The contract under test: both microkernel variants (tensor and the naive
+// oracle) and every grid-execution thread setting produce bit-identical
+// distances AND an identical simulated timeline. The kernel engine is a host wall-clock
 // optimization only — nothing observable through the simulator may move.
 #include <gtest/gtest.h>
 
@@ -51,30 +51,28 @@ std::vector<dist_t> random_matrix(vidx_t rows, vidx_t cols,
 }
 
 TEST_F(KernelEngineTest, VariantNamesRoundTrip) {
-  for (const KernelVariant v :
-       {KernelVariant::kAuto, KernelVariant::kNaive, KernelVariant::kTiled,
-        KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
+  for (const KernelVariant v : {KernelVariant::kNaive, KernelVariant::kTensor}) {
     EXPECT_EQ(parse_kernel_variant(kernel_variant_name(v)), v);
   }
-  EXPECT_THROW(parse_kernel_variant("simd8"), Error);
-  EXPECT_THROW(parse_kernel_variant("SIMD"), Error);
-  EXPECT_THROW(parse_kernel_variant(""), Error);
+  // Removed variants are unknown names like any other.
+  for (const char* name :
+       {"auto", "tiled", "tiled-reg", "simd", "simd8", "SIMD", ""}) {
+    EXPECT_THROW(parse_kernel_variant(name), Error) << name;
+  }
 }
 
-TEST_F(KernelEngineTest, AutotunePicksConcreteVariant) {
-  const KernelVariant v = autotune_kernel_variant();
-  EXPECT_NE(v, KernelVariant::kAuto);
-  // With the default (auto) config, dispatch must resolve to a concrete
-  // variant as well, and cache it.
-  EXPECT_NE(resolved_kernel_variant(), KernelVariant::kAuto);
-  EXPECT_EQ(resolved_kernel_variant(), resolved_kernel_variant());
+TEST_F(KernelEngineTest, ResolvesToTheConfiguredVariant) {
+  EXPECT_EQ(resolved_kernel_variant(), KernelVariant::kTensor);  // default
+  KernelConfig cfg;
+  cfg.variant = KernelVariant::kNaive;
+  set_kernel_config(cfg);
+  EXPECT_EQ(resolved_kernel_variant(), KernelVariant::kNaive);
 }
 
-TEST_F(KernelEngineTest, AllVariantsBitIdenticalToNaive) {
-  // Sizes straddle every blocking boundary: below one register block, below
-  // one tile, exact tiles, one past, and ragged multiples. kInf density
-  // exercises the hoisted dead-row skip.
+TEST_F(KernelEngineTest, TensorBitIdenticalToNaive) {
+  // Sizes straddle every blocking boundary: below one register tile, below
+  // one k-panel, exact panels, one past, and ragged multiples (the scalar
+  // tails). kInf density exercises the skip of all-kInf A strips.
   const vidx_t sizes[] = {1, 3, 17, 64, 65, 128, 193};
   for (const vidx_t nr : sizes) {
     for (const vidx_t nk : {sizes[1], sizes[3], sizes[6]}) {
@@ -88,15 +86,11 @@ TEST_F(KernelEngineTest, AllVariantsBitIdenticalToNaive) {
           auto want = c0;
           minplus_accum_naive(want.data(), nc, a.data(), nk, b.data(), nc,
                               nr, nk, nc);
-          for (const KernelVariant v :
-               {KernelVariant::kTiled, KernelVariant::kTiledReg}) {
-            auto got = c0;
-            minplus_accum_variant(v, got.data(), nc, a.data(), nk, b.data(),
-                                  nc, nr, nk, nc);
-            ASSERT_EQ(got, want)
-                << kernel_variant_name(v) << " diverges at " << nr << "x"
-                << nk << "x" << nc << " p_inf=" << p_inf;
-          }
+          auto got = c0;
+          minplus_accum_tensor(got.data(), nc, a.data(), nk, b.data(), nc,
+                               nr, nk, nc);
+          ASSERT_EQ(got, want) << "tensor diverges at " << nr << "x" << nk
+                               << "x" << nc << " p_inf=" << p_inf;
         }
       }
     }
@@ -192,9 +186,7 @@ TEST_F(KernelEngineTest, DevMinplusIdenticalAcrossVariantsAndThreads) {
   for (int alias = 0; alias < 4; ++alias) {
     const DevRun base = run_dev_minplus(KernelVariant::kNaive, 1, alias);
     for (const KernelVariant v :
-         {KernelVariant::kNaive, KernelVariant::kTiled,
-          KernelVariant::kTiledReg, KernelVariant::kSimd,
-          KernelVariant::kTensor}) {
+         {KernelVariant::kNaive, KernelVariant::kTensor}) {
       for (const int threads : {1, 2, 0}) {
         const DevRun r = run_dev_minplus(v, threads, alias);
         ASSERT_EQ(r.result, base.result)
@@ -230,9 +222,7 @@ DevRun run_blocked_fw(KernelVariant v, int threads) {
 TEST_F(KernelEngineTest, BlockedFwIdenticalAcrossVariantsAndThreads) {
   const DevRun base = run_blocked_fw(KernelVariant::kNaive, 1);
   for (const KernelVariant v :
-       {KernelVariant::kNaive, KernelVariant::kTiled,
-        KernelVariant::kTiledReg, KernelVariant::kSimd,
-        KernelVariant::kTensor}) {
+       {KernelVariant::kNaive, KernelVariant::kTensor}) {
     for (const int threads : {1, 2, 0}) {
       const DevRun r = run_blocked_fw(v, threads);
       ASSERT_EQ(r.result, base.result)
@@ -278,20 +268,17 @@ TEST_P(SolveParity, FullSolveIdenticalAcrossEngineSettings) {
     EXPECT_EQ(base.metrics.kernel_variant, "naive");
     expect_store_matches_reference(*g, *s_base, base);
 
-    for (const KernelVariant v :
-         {KernelVariant::kTiled, KernelVariant::kTiledReg}) {
-      for (const int threads : {1, 0}) {
-        ApspOptions alt = opts;
-        alt.kernel_variant = v;
-        alt.kernel_threads = threads;
-        auto s_alt = make_ram_store(g->num_vertices());
-        const auto r = solve_apsp(*g, alt, *s_alt);
-        ASSERT_EQ(r.perm, base.perm);
-        EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
-        EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
-        EXPECT_EQ(r.metrics.kernel_variant, kernel_variant_name(v));
-        expect_stores_identical(*s_base, *s_alt);
-      }
+    for (const int threads : {1, 0}) {
+      ApspOptions alt = opts;
+      alt.kernel_variant = KernelVariant::kTensor;
+      alt.kernel_threads = threads;
+      auto s_alt = make_ram_store(g->num_vertices());
+      const auto r = solve_apsp(*g, alt, *s_alt);
+      ASSERT_EQ(r.perm, base.perm);
+      EXPECT_DOUBLE_EQ(r.metrics.sim_seconds, base.metrics.sim_seconds);
+      EXPECT_EQ(r.metrics.kernels, base.metrics.kernels);
+      EXPECT_EQ(r.metrics.kernel_variant, "tensor");
+      expect_stores_identical(*s_base, *s_alt);
     }
   }
 }
@@ -318,7 +305,7 @@ TEST_P(SolveParity, ChaosScheduleIdenticalAcrossEngineSettings) {
   const auto base = solve_apsp(g, opts, *s_base);
 
   ApspOptions alt = opts;
-  alt.kernel_variant = KernelVariant::kTiledReg;
+  alt.kernel_variant = KernelVariant::kTensor;
   alt.kernel_threads = 0;
   auto s_alt = make_ram_store(g.num_vertices());
   const auto r = solve_apsp(g, alt, *s_alt);

@@ -50,9 +50,9 @@
 //   --stats                 print graph statistics and exit
 //
 // Kernel engine (see DESIGN.md §9):
-//   --kernel-variant V      auto | naive | tiled | tiled-reg | simd | tensor
-//                           min-plus microkernel (auto benchmarks once and
-//                           caches; unknown names are an error)
+//   --kernel-variant V      tensor | naive   min-plus microkernel (default
+//                           tensor; naive is the scalar reference; unknown
+//                           names are an error)
 //   --kernel-threads N      host threads for grid-parallel kernel execution
 //                           (0 = whole pool, 1 = serial); never changes
 //                           results or simulated time, only wall-clock
@@ -73,9 +73,9 @@
 //                           store file is kept across runs automatically)
 //   --resume                resume from --checkpoint if compatible:
 //
-//   apsp_cli --generate road:20x20 --algorithm fw --store file \
+//   apsp_cli --generate road:20x20 --algorithm fw --store file
 //            --store-path d.bin --checkpoint fw.ck [--kill-device 0:40]
-//   apsp_cli --generate road:20x20 --algorithm fw --store file \
+//   apsp_cli --generate road:20x20 --algorithm fw --store file
 //            --store-path d.bin --checkpoint fw.ck --resume
 //
 // Query service (see DESIGN.md §10): `apsp_cli query` opens the GAPSPZ1 kept
@@ -164,7 +164,7 @@
 // are removed. Pass the solve's exact --generate/--input/--seed
 // (identity-permutation solves only, like --repair recompute):
 //
-//   apsp_cli update --store-path d.bin --updates batch.txt \
+//   apsp_cli update --store-path d.bin --updates batch.txt
 //            --generate road:24x24 [--update-threshold 0.5] [--resume]
 //
 //   --updates FILE          one `u v w` arc per line ('#' comments;
@@ -1053,7 +1053,7 @@ int run(const Args& args) {
   if (any_faults) opts.faults = &faults;
   opts.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
   opts.kernel_variant =
-      core::parse_kernel_variant(args.get_or("kernel-variant", "auto"));
+      core::parse_kernel_variant(args.get_or("kernel-variant", "tensor"));
   opts.kernel_threads =
       static_cast<int>(args.get_int_or("kernel-threads", 0));
   opts.checkpoint_path = args.get_or("checkpoint", "");
@@ -1161,16 +1161,11 @@ int run(const Args& args) {
                             : std::to_string(opts.kernel_threads) +
                                   "-thread")
               << " grid execution";
-    const core::KernelTuning tuning = core::kernel_tuning();
-    if (tuning.measured) {
-      std::cout << " (" << core::simd_lane_isa() << " lanes, "
-                << std::fixed << std::setprecision(2)
-                << core::kernel_variant_rel_speed(
-                       core::parse_kernel_variant(r.metrics.kernel_variant))
-                << "x vs naive)";
-      std::cout.unsetf(std::ios::fixed);
-    }
-    std::cout << "\n";
+    std::cout << " (" << core::simd_lane_isa() << " lanes, " << std::fixed
+              << std::setprecision(2)
+              << core::kernel_variant_rel_speed(opts.kernel_variant)
+              << "x vs naive)\n";
+    std::cout.unsetf(std::ios::fixed);
   }
   if (r.metrics.johnson_batch_size > 0) {
     std::cout << "johnson: bat=" << r.metrics.johnson_batch_size << ", "

@@ -58,7 +58,7 @@ int main() {
   Table top({"rank", "user", "degree", "closeness"});
   for (int i = 0; i < 10 && i < static_cast<int>(closeness.size()); ++i) {
     top.add_row({std::to_string(i + 1),
-                 "u" + std::to_string(closeness[i].second),
+                 std::string("u").append(std::to_string(closeness[i].second)),
                  std::to_string(net.out_degree(closeness[i].second)),
                  Table::num(closeness[i].first, 5)});
   }

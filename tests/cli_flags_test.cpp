@@ -1,17 +1,25 @@
-// CLI regression tests for the serving-flag validation matrix: contradictory
-// shard/route/chaos combinations must exit 1 with a typed error (not crash,
-// not silently serve the wrong thing), unknown flags — including the removed
-// raw-store flags — exit 2, a raw matrix handed to a serving subcommand
-// exits 4 naming `apsp_cli compact`, and the valid single-slice and routed
-// paths exit 0. The two kernel variants answer alike, and removed variant
-// names exit 1. Drives the real apsp_cli binary.
+// CLI regression tests for the flag validation matrix: contradictory
+// shard/route/chaos and solve flag combinations, malformed or out-of-bounds
+// values and switches given a value must exit 1 with a typed error (not
+// crash, not silently coerce or serve the wrong thing), unknown flags —
+// including the removed raw-store flags — and stray arguments exit 2 with
+// the command's usage, a raw matrix handed to a serving subcommand exits 4
+// naming `apsp_cli compact`, and the valid single-slice and routed paths
+// exit 0. The two kernel variants answer alike, removed variant names exit
+// 1, and every flag README.md shows is in its command's usage. Drives the
+// real apsp_cli binary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -98,6 +106,47 @@ TEST_F(CliFlags, ValidServingModesExitZero) {
   EXPECT_EQ(run_cli(cli, q("--shard 1 --row 40")), 0);
   EXPECT_EQ(run_cli(cli, q("--route local --point 0,63 --row 40")), 0);
   EXPECT_EQ(run_cli(cli, q("--route process --point 0,63 --row 40")), 0);
+  EXPECT_EQ(run_cli(cli, q("--route process --no-verify-shard --repeat 2 "
+                           "--point 0,63 --row 40")),
+            0);
+  // The argv the router spawns a worker with (store, shard and the engine
+  // flags it forwards); on an empty stdin the worker exits cleanly.
+  EXPECT_EQ(run_cli(cli, "serve --store-path " + store +
+                             " --shard 0 --cache-mb 1 --shards 8 --retries 3 "
+                             "--no-verify-shard --exit-after 1 </dev/null"),
+            0);
+}
+
+TEST_F(CliFlags, SilentCoercionsAreTypedErrors) {
+  const std::string solve = "--generate road:8x8 ";
+  const std::string file = solve + "--store file --store-path " + store +
+                           ".coerce.bin ";
+  // {arguments, exit code, text the error must contain}
+  const std::tuple<std::string, int, std::string> cases[] = {
+      {solve + "--seed 12abc", 1, "--seed"},
+      {q("--cache-mb -1 --point 0,1"), 1, "--cache-mb"},
+      {q("--shards 0 --point 0,1"), 1, "--shards"},
+      {q("--repeat 0 --point 0,1"), 1, "--repeat"},
+      {solve + "--devices 0", 1, "--devices"},
+      {solve + "--devices -3", 1, "--devices"},
+      {solve + "--store File", 1, "--store"},
+      {solve + "--keep-store", 1, "--keep-store"},
+      {solve + "--resume", 1, "--resume"},
+      {solve + "--algorithm fw --devices 2", 1, "--devices"},
+      {solve + "--algorithm johnson --devices 2", 1, "--devices"},
+      {solve + "--devices 2 --per-component", 1, "--per-component"},
+      {file + "--keep-store=yes", 1, "--keep-store"},
+      {solve + "--query 0,x", 1, "U,V"},
+      {"bogus " + solve, 2, "usage: apsp_cli"},
+      {solve + "--verify query", 2, "usage: apsp_cli"},
+      {q("--point 0,1 --help"), 2, "--cache-mb N"},
+  };
+  for (const auto& [args, code, text] : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli_output(cli, args, out), code) << args << ": " << out;
+    EXPECT_NE(out.find(text), std::string::npos) << args << ": " << out;
+  }
+  std::remove((store + ".coerce.bin").c_str());
 }
 
 TEST_F(CliFlags, ContradictoryServingFlagsExitOne) {
@@ -267,6 +316,64 @@ TEST_F(CliFlags, KilledWorkerStillExitsZeroWithTypedDegradation) {
   EXPECT_EQ(run_cli(cli, q("--route process --kill-worker 1:1 "
                            "--worker-retries 0 --point 0,1 --row 40")),
             0);
+}
+
+/// The flags `apsp_cli <sub>`'s usage lists (it prints it on exit 2).
+std::set<std::string> usage_flags(const std::string& cli,
+                                  const std::string& sub) {
+  std::string out;
+  EXPECT_EQ(run_cli_output(cli, sub + " --help", out), 2) << out;
+  std::set<std::string> flags;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) == 0) {
+      flags.insert(line.substr(2, line.find(' ', 2) - 2));
+    }
+  }
+  return flags;
+}
+
+TEST(CliReadme, EveryReadmeFlagIsInItsCommandsUsage) {
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "apsp_cli path unavailable (set GAPSP_CLI)";
+  std::ifstream in(GAPSP_README_PATH);
+  ASSERT_TRUE(in.good()) << GAPSP_README_PATH;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+
+  const std::set<std::string> subcommands = {
+      "query", "shard", "serve", "scrub", "update", "info", "compact"};
+  const std::regex flag_re("--[a-z][a-z0-9-]*");
+  int commands = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (auto at = lines[i].find("apsp_cli "); at != std::string::npos;
+         at = lines[i].find("apsp_cli ", at + 1)) {
+      std::string cmd = lines[i].substr(at + 9);
+      if (at > 0 && lines[i][at - 1] == '`') {
+        cmd = cmd.substr(0, cmd.find('`'));  // an inline code span
+      } else {
+        for (std::size_t j = i; !cmd.empty() && cmd.back() == '\\' &&
+                                j + 1 < lines.size();) {
+          cmd.pop_back();
+          cmd += " " + lines[++j];  // a continuation line
+        }
+        cmd = cmd.substr(0, cmd.find(" #"));
+      }
+      std::istringstream words(cmd);
+      std::string sub;
+      words >> sub;
+      if (subcommands.count(sub) == 0) sub.clear();
+      const auto usage = usage_flags(cli, sub);
+      ++commands;
+      for (std::sregex_iterator it(cmd.begin(), cmd.end(), flag_re), end;
+           it != end; ++it) {
+        EXPECT_EQ(usage.count(it->str()), 1u)
+            << "README.md:" << i + 1 << ": apsp_cli " << sub << " "
+            << it->str() << " is not in the usage";
+      }
+    }
+  }
+  EXPECT_GE(commands, 15);
 }
 
 }  // namespace

@@ -1,202 +1,17 @@
-// apsp_cli — the command-line front end of the gapsp library.
-//
-// Solve APSP on a Matrix Market file or a generated graph, with the paper's
-// selector or an explicit algorithm, on a simulated V100 or K80:
-//
-//   apsp_cli --input graph.mtx
-//   apsp_cli --generate road:40x40 --query 0,812 --path 0,812
-//   apsp_cli --generate rmat:11:14000 --algorithm johnson --device k80
-//   apsp_cli --generate mesh:1200:30 --store file --store-path dist.bin --keep-store
-//   apsp_cli --generate road:36x36 --trace timeline.json   (chrome://tracing)
-//
-// Flags:
-//   --input FILE            Matrix Market input
-//   --generate SPEC         road:RxC | mesh:N:DEG | rmat:SCALE:EDGES |
-//                           er:N:M[:0 = leave disconnected] | dense:N:PCT
-//   --seed S                generator seed (default 1)
-//   --algorithm A           auto | fw | johnson | boundary   (default auto)
-//   --device D              v100 | k80                        (default v100)
-//   --memory-mb M           device memory in MiB              (default 8 / 6)
-//   --components K          boundary algorithm component count (0 = sqrt(n)/4)
-//   --no-batching           disable boundary transfer batching
-//   --no-overlap            disable compute/transfer overlap (all algorithms)
-//   --transfer-compression M  auto | on | off: z1-compress staged tiles into
-//                           the pinned lanes, decode on device (DESIGN.md
-//                           §14). auto engages when the device's decode rate
-//                           beats its host link; results are bit-identical
-//                           in every mode (unknown names are an error)
-//   --no-dp                 disable Johnson dynamic parallelism
-//   --sparse-threshold P    selector sparse density band, percent (default 0.8)
-//   --dense-threshold P     selector dense density band, percent  (default 4)
-//   --store S               ram | file                        (default ram)
-//   --store-path P          file-store path (default ./apsp_dist.bin)
-//   --keep-store            keep the file store after exit; on completion it
-//                           is compacted into a GAPSPZ1 block-compressed
-//                           store (DESIGN.md §11), the one kept-store format,
-//                           and a calibration sidecar (<store-path>.cal) is
-//                           saved next to it
-//   --store-ratio R         expected compression ratio of the store sink;
-//                           scales the n² output term of the cost models
-//                           (selector sees cheaper I/O)   (default 1 = raw)
-//   --sssp-kernel K         near-far | delta-stepping | bellman-ford
-//   --partitioner P         kway | rb (recursive bisection)
-//   --devices N             run the multi-GPU boundary algorithm on N devices
-//   --verify                spot-check the result against Dijkstra rows
-//   --per-component         decompose into connected components first
-//   --save FILE             serialize the distance matrix (GAPSPDM1 format)
-//   --query U,V             print dist(U,V)  (several: "U,V;U2,V2")
-//   --path U,V              print one shortest path U -> V
-//   --trace FILE            write a chrome://tracing JSON timeline
-//   --stats                 print graph statistics and exit
-//
-// Kernel engine (see DESIGN.md §9):
-//   --kernel-variant V      tensor | naive   min-plus microkernel (default
-//                           tensor; naive is the scalar reference; unknown
-//                           names are an error)
-//   --kernel-threads N      host threads for grid-parallel kernel execution
-//                           (0 = whole pool, 1 = serial); never changes
-//                           results or simulated time, only wall-clock
-//
-// Fault injection & recovery (see DESIGN.md §8):
-//   --fault-seed S          fault schedule seed (default 1)
-//   --fault-h2d P           probability an H2D transfer faults (transient)
-//   --fault-d2h P           probability a D2H transfer faults (transient)
-//   --fault-kernel P        probability a kernel launch faults (transient)
-//   --fault-alloc P         probability an allocation faults (→ degrade)
-//   --fault-decode P        probability an on-device z1 decode/encode faults
-//                           (transient; the whole tile retries)
-//   --kill-device D:N       device D dies at its N-th operation
-//   --retries N             max retries per transient fault (default 3)
-//   --checkpoint FILE       write a round-level checkpoint sidecar; requires
-//                           --store file (the store holds the completed
-//                           rounds, so it must outlive the process; the
-//                           store file is kept across runs automatically)
-//   --resume                resume from --checkpoint if compatible:
-//
-//   apsp_cli --generate road:20x20 --algorithm fw --store file
-//            --store-path d.bin --checkpoint fw.ck [--kill-device 0:40]
-//   apsp_cli --generate road:20x20 --algorithm fw --store file
-//            --store-path d.bin --checkpoint fw.ck --resume
-//
-// Query service (see DESIGN.md §10): `apsp_cli query` opens the GAPSPZ1 kept
-// store of a previous solve and serves point/row/batch queries through the
-// block-cached query engine, printing cache and latency metrics. Every
-// subcommand that reads a kept store rejects a raw matrix with exit 4 and
-// points at `apsp_cli compact`; a store or shard slice whose z1 frames are of
-// another format (an older build's) also exits 4, naming the re-solve:
-//
-//   apsp_cli --generate road:24x24 --store file --store-path d.bin --keep-store
-//   apsp_cli query --store-path d.bin --point 0,100 --row 5
-//   apsp_cli query --store-path d.bin --batch queries.txt --cache-mb 32
-//
-// Store compaction (see DESIGN.md §11): `apsp_cli compact` converts a raw
-// matrix — the store a --checkpoint solve leaves behind, or a kept store
-// written by an older build — into a GAPSPZ1 block-compressed store (in
-// place by default). --block sets the stored tile side, which every later
-// reader's cache grid, shard ranges and update tiles follow:
-//
-//   apsp_cli compact --store-path d.bin [--out d.z.bin] [--block 256]
-//
-// Query flags:
-//   --store-path P          kept store file from `--keep-store` (required)
-//   --point U,V             point queries (several: "U,V;U2,V2")
-//   --row U                 row queries (several: "U;U2")
-//   --batch FILE            one query per line: "U V" / "U,V" (point) or
-//                           "row U"; '#' starts a comment
-//   --cache-mb M            block cache capacity in MiB       (default 64)
-//                           (the cache tile is the store's own tile)
-//   --shards S              cache shard count                 (default 8)
-//   --threads T             batch fan-out threads (0 = whole pool)
-//   --repeat N              run the batch N times (N >= 2 shows the
-//                           warm-cache steady state; metrics per run)
-//
-// Serving-tier fault tolerance (see DESIGN.md §13): every cache-miss read
-// decodes a GAPSPZ1 frame and checks its content checksum. Transient read
-// faults retry with backoff; persistent damage quarantines the tile and
-// degrades exactly the queries that touch it (typed per-query status) — or,
-// with --repair recompute, the tile is re-derived from the graph on the
-// spot.
-//
-//   --retries N             retry budget per transient read fault (default 3)
-//   --max-queue N           admission bound per batch; overflow is shed with
-//                           a typed status (0 = unbounded)
-//   --repair recompute      re-derive damaged tiles by SSSP over the input
-//                           graph (give the same --generate/--input/--seed
-//                           as the solve; identity-permutation solves only)
-//   --fault-store-read P    inject transient store-read faults (chaos)
-//   --fault-seed S          fault schedule seed (default 1)
-//
-// Sharded serving (see DESIGN.md §15): `apsp_cli shard` splits a kept store
-// on its own tile rows into row-range shard files plus a GAPSPSH1 manifest;
-// `query --route` serves all shards behind one batch surface, either with
-// in-process engines (local) or one worker process per shard (process, the
-// workers being `apsp_cli serve --shard K` children speaking a
-// length-prefixed protocol on stdin/stdout). A dead or corrupt shard
-// degrades exactly its row range to typed kQuarantined results:
-//
-//   apsp_cli shard --store-path d.bin --shards 4
-//   apsp_cli query --store-path d.bin --route process --point 0,100 --row 5
-//   apsp_cli query --store-path d.bin --shard 1 --row 300   (single slice)
-//
-//   --route M               none | local | process        (default none)
-//   --shard K               serve one shard slice directly; every query must
-//                           route inside its row range (contradiction = exit 1)
-//   --worker-retries N      resend+respawn budget per dead worker (default 1)
-//   --worker-timeout-ms T   per-reply wait before a worker counts as dead
-//   --kill-worker K:N       chaos: worker K _exits on its N-th batch
-//   --no-verify-shard       skip the whole-file shard checksum at open
-//
-// Scrub & repair (offline): `apsp_cli scrub` walks every tile of a kept
-// store, reports corruption, optionally repairs it in place, and exits 3
-// when unrepaired damage remains:
-//
-//   apsp_cli scrub --store-path d.bin
-//   apsp_cli scrub --store-path d.bin --repair recompute --generate road:24x24
-//
-// Dynamic updates (see DESIGN.md §16): `apsp_cli update` repairs a kept
-// store in place after a batch of edge-weight updates, instead of
-// re-solving. Decrease-only batches run a bounded min-plus panel repair;
-// increases/deletes probe for damaged rows and recompute them by SSSP,
-// falling back to a full re-solve past --update-threshold. The repair
-// writes into a sibling tmp copy and recompacts it over the store on the
-// store's own tile, with a GAPSPCK1 delta sidecar (<store>.updck) making a
-// killed update resumable bit-identically. Stale sidecars (.cal, .shards)
-// are removed. Pass the solve's exact --generate/--input/--seed
-// (identity-permutation solves only, like --repair recompute):
-//
-//   apsp_cli update --store-path d.bin --updates batch.txt
-//            --generate road:24x24 [--update-threshold 0.5] [--resume]
-//
-//   --updates FILE          one `u v w` arc per line ('#' comments;
-//                           w = inf | x | -1 deletes the arc; arcs absent
-//                           from the graph are inserted; last update of an
-//                           arc wins). Undirected graphs need both arcs.
-//   --update-threshold F    fall back to a full re-solve when more than
-//                           F*n rows are damaged by increases (default 1 =
-//                           never: row repair is output-sensitive, so the
-//                           damaged-row fraction does not predict its cost;
-//                           0 = always re-solve)
-//   --checkpoint FILE       delta sidecar path (default <store>.updck)
-//   --checkpoint-every N    tiles between checkpoint rewrites (default 64)
-//   --resume                continue a killed update (same store + batch)
-//   --save-graph FILE       write the post-update graph as Matrix Market,
-//                           so a from-scratch `--input FILE` solve can
-//                           cross-check the repaired store byte-for-byte
-//
-// `apsp_cli info` prints a kept store's format facts (GAPSPZ1 or GAPSPSD1
-// shard slice, n, tile, compression ratio) and the health of every sidecar
-// next to it (.cal / .shards / .updck):
-//
-//   apsp_cli info --store-path d.bin
-//
-// Query-mode vertex ids address the store's own layout; solves that permute
-// (the boundary algorithm) should query through the API with ApspResult::
-// perm, or save via --save which records the permutation.
+// apsp_cli — the command-line front end of the gapsp library: solve APSP on
+// a simulated GPU, then query, shard, serve, scrub, update, inspect (info) or
+// compact the kept store (DESIGN.md §8, §10, §11, §13, §15, §16). Each flag
+// is declared once in the table below; a usage error prints the command's
+// flags. Exit codes: 1 bad value or contradictory flags, 2 usage error,
+// 3 verify or scrub failure, 4 I/O error or corruption.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -225,72 +40,189 @@
 namespace {
 
 using namespace gapsp;
+using enum FlagKind;
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
+
+// Every flag, once: {name, kind, default (one-of: the values, the first being
+// the default), help, bounds}. A flag several commands accept is named here;
+// the others are written in their command's list.
+const Flag kInput{"input", kText, "", "Matrix Market graph file"};
+const Flag kGenerate{"generate", kText, "road:40x40",
+                     "road:RxC | mesh:N:DEG | rmat:SCALE:EDGES | "
+                     "er:N:M[:0 = leave disconnected] | dense:N:PCT"};
+const Flag kSeed{"seed", kInteger, "1", "generator and solve seed", 0, kNoMax};
+const Flag kStorePath{"store-path", kText, "apsp_dist.bin",
+                      "distance store file (a kept GAPSPZ1 store)"};
+const Flag kRetries{"retries", kInteger, "3", "retries per fault", 0, 1000};
+const Flag kFaultSeed{"fault-seed", kInteger, "1", "fault seed", 0, kNoMax};
+const Flag kResume{"resume", kSwitch, "", "resume from a checkpoint"};
+const Flag kCacheMb{"cache-mb", kInteger, "64", "block cache MiB", 1, 1e6};
+const Flag kCacheShards{"shards", kInteger, "8", "block cache shards", 1, 4096};
+const Flag kThreads{"threads", kInteger, "0",
+                    "batch fan-out threads (0 = whole pool)", 0, 4096};
+const Flag kRepair{"repair", kOneOf, "off|recompute",
+                   "re-derive damaged tiles from --generate/--input/--seed; "
+                   "query ids address the store's own layout; boundary "
+                   "solves permute"};
+const Flag kFaultStoreRead{"fault-store-read", kNumber, "0",
+                           "chance a store read faults", 0, 1};
+const Flag kShard{"shard", kInteger, "", "serve shard slice N alone", 0, 4095};
+const Flag kNoVerifyShard{"no-verify-shard", kSwitch, "",
+                          "skip the shard file checksum at open"};
+
+const Command kSolveCommand{
+    "",
+    "solve APSP; subcommands: query shard serve scrub update info compact",
+    {kInput, kGenerate, kSeed,
+     {"algorithm", kOneOf, "auto|fw|johnson|boundary", "auto = the selector"},
+     {"device", kOneOf, "v100|k80", "simulated GPU preset"},
+     {"memory-mb", kInteger, "", "device MiB (default 8 v100, 6 k80)", 1, 1e6},
+     {"components", kInteger, "0", "component count (0 = sqrt(n)/4)", 0, 1e6},
+     {"no-batching", kSwitch, "", "disable boundary transfer batching"},
+     {"no-overlap", kSwitch, "", "disable compute/transfer overlap"},
+     {"no-dp", kSwitch, "", "disable Johnson dynamic parallelism"},
+     {"sparse-threshold", kNumber, "0.8", "selector sparse band, %", 0, 100},
+     {"dense-threshold", kNumber, "4", "selector dense band, %", 0, 100},
+     {"store", kOneOf, "ram|file", "distance store of the solve"},
+     kStorePath,
+     {"keep-store", kSwitch, "", "keep the file store, as GAPSPZ1, and .cal"},
+     {"store-ratio", kNumber, "1", "assumed store compression", 1, kNoMax},
+     {"query", kText, "", "print distances \"U,V;U2,V2\""},
+     {"path", kText, "", "print one shortest path U,V"},
+     {"trace", kText, "", "write a chrome://tracing JSON timeline"},
+     {"stats", kSwitch, "", "print graph statistics and exit"},
+     {"sssp-kernel", kOneOf, "near-far|delta-stepping|bellman-ford",
+      "Johnson's SSSP kernel"},
+     {"partitioner", kOneOf, "kway|rb", "boundary graph partitioner"},
+     {"devices", kInteger, "1", "multi-GPU boundary device count", 1, 64},
+     {"per-component", kSwitch, "", "solve each connected component alone"},
+     {"save", kText, "", "write the distance matrix as GAPSPDM1"},
+     {"verify", kSwitch, "", "check 8 rows against Dijkstra (exit 3)"},
+     kFaultSeed,
+     {"fault-h2d", kNumber, "0", "chance an H2D transfer faults", 0, 1},
+     {"fault-d2h", kNumber, "0", "chance a D2H transfer faults", 0, 1},
+     {"fault-kernel", kNumber, "0", "chance a kernel launch faults", 0, 1},
+     {"fault-alloc", kNumber, "0", "chance an allocation faults", 0, 1},
+     {"fault-decode", kNumber, "0", "chance a z1 decode faults", 0, 1},
+     {"kill-device", kText, "", "D:N: device D dies at its N-th operation"},
+     kRetries,
+     {"checkpoint", kText, "", "checkpoint sidecar (needs --store file)"},
+     kResume,
+     {"kernel-variant", kText, "tensor", "tensor | naive min-plus kernel"},
+     {"kernel-threads", kInteger, "0", "grid threads (0 = pool)", 0, 4096},
+     {"transfer-compression", kText, "auto", "auto | on | off z1 transfers"}}};
+constexpr core::Algorithm kAlgorithmOf[] = {  // by --algorithm's values
+    core::Algorithm::kAuto, core::Algorithm::kBlockedFloydWarshall,
+    core::Algorithm::kJohnson, core::Algorithm::kBoundary};
+constexpr core::SsspKernel kSsspKernelOf[] = {  // by --sssp-kernel's values
+    core::SsspKernel::kNearFar, core::SsspKernel::kDeltaStepping,
+    core::SsspKernel::kBellmanFord};
+constexpr part::Method kPartitionerOf[] = {  // by --partitioner's values
+    part::Method::kMultilevelKway, part::Method::kRecursiveBisection};
+
+const Command kQueryCommand{
+    "query",
+    "serve queries from a kept store; query ids address the store's own "
+    "layout; boundary solves permute",
+    {kStorePath,
+     {"point", kText, "", "point queries \"U,V;U2,V2\""},
+     {"row", kText, "", "row queries \"U;U2\""},
+     {"batch", kText, "", "query file: \"U V\" | \"U,V\" | \"row U\" lines"},
+     kCacheMb, kCacheShards, kThreads,
+     {"repeat", kInteger, "1", "run the batch N times", 1, 1000000},
+     kRetries,
+     {"max-queue", kInteger, "0", "shed past N a batch (0 = off)", 0, kNoMax},
+     kRepair, kGenerate, kInput, kSeed, kFaultStoreRead, kFaultSeed,
+     {"route", kOneOf, "none|local|process", "serve all shards via a router"},
+     kShard, kNoVerifyShard,
+     {"worker-retries", kInteger, "1", "respawns per dead worker", 0, 1000},
+     {"worker-timeout-ms", kInteger, "30000", "worker reply wait", 1, 864e5},
+     {"kill-worker", kText, "", "K:N: worker K exits on batch N (chaos)"}}};
+const Command kShardCommand{
+    "shard",
+    "split a kept store into row-range shard files plus a manifest",
+    {kStorePath, {"shards", kInteger, "2", "shard files", 1, 4096}}};
+const Command kServeCommand{
+    "serve",
+    "one shard worker on stdin/stdout (query --route process spawns them)",
+    {kStorePath, kShard, kCacheMb, kCacheShards, kThreads, kRetries,
+     kNoVerifyShard,
+     {"exit-after", kInteger, "0", "internal: exit at batch N", 0, 1e9}}};
+const Command kScrubCommand{
+    "scrub",
+    "check (and repair) every tile of a kept store; exit 3 on damage",
+    {kStorePath, kRepair, kGenerate, kInput, kSeed, kRetries, kFaultStoreRead,
+     kFaultSeed}};
+const Command kUpdateCommand{
+    "update",
+    "repair a kept store after edge updates, given the solve's graph flags; "
+    "query ids address the store's own layout; boundary solves permute",
+    {kStorePath,
+     {"updates", kText, "", "`u v w` arcs per line; w = inf | x | -1 deletes"},
+     {"update-threshold", kNumber, "1", "re-solve past F*n bad rows", 0, 1},
+     {"checkpoint", kText, "", "delta sidecar (empty = <store-path>.updck)"},
+     {"checkpoint-every", kInteger, "64", "tiles per checkpoint", 1, kNoMax},
+     kResume, kGenerate, kInput, kSeed,
+     {"save-graph", kText, "", "write the updated graph (Matrix Market)"}}};
+const Command kInfoCommand{
+    "info", "print a kept store's format and sidecar health", {kStorePath}};
+const Command kCompactCommand{
+    "compact",
+    "convert a raw matrix into a GAPSPZ1 store",
+    {kStorePath,
+     {"out", kText, "", "output store (empty = in place)"},
+     {"block", kInteger, "256", "stored tile side", 1, 1e6}}};
+
+/// Splits "A<sep>B" into two integers; `form` (e.g. "U,V") names the
+/// expected input in errors.
+std::pair<long long, long long> parse_pair(const std::string& s, char sep,
+                                           const std::string& form) {
+  const auto at = s.find(sep);
+  GAPSP_CHECK(at != std::string::npos, "expected " + form + " but got " + s);
+  return {parse_integer(s.substr(0, at), form),
+          parse_integer(s.substr(at + 1), form)};
+}
+
+std::pair<vidx_t, vidx_t> parse_vertex_pair(const std::string& s) {
+  const auto [u, v] = parse_pair(s, ',', "U,V");
+  return {static_cast<vidx_t>(u), static_cast<vidx_t>(v)};
+}
 
 graph::CsrGraph make_graph(const Args& args) {
-  if (const auto input = args.get("input"); input.has_value()) {
-    return graph::read_matrix_market_file(*input);
+  if (args.has("input")) {
+    return graph::read_matrix_market_file(args.text("input"));
   }
-  const std::string spec = args.get_or("generate", "road:40x40");
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  const std::string spec = args.text("generate");
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
   std::istringstream ss(spec);
   std::string kind;
-  GAPSP_CHECK(static_cast<bool>(std::getline(ss, kind, ':')),
-              "bad --generate spec: " + spec);
+  std::getline(ss, kind, ':');
+  GAPSP_CHECK(kind == "road" || kind == "mesh" || kind == "rmat" ||
+                  kind == "er" || kind == "dense",
+              "unknown generator kind: " + kind);
   auto next_num = [&](char sep) {
     std::string tok;
     GAPSP_CHECK(static_cast<bool>(std::getline(ss, tok, sep)),
                 "bad --generate spec: " + spec);
-    return std::stoll(tok);
+    return parse_integer(tok, "--generate " + spec);
   };
-  if (kind == "road") {
-    const auto rows = next_num('x');
-    const auto cols = next_num(':');
-    return graph::make_road(static_cast<vidx_t>(rows),
-                            static_cast<vidx_t>(cols), seed);
-  }
-  if (kind == "mesh") {
-    const auto n = next_num(':');
-    const auto deg = next_num(':');
-    return graph::make_mesh(static_cast<vidx_t>(n), static_cast<int>(deg),
-                            seed);
-  }
-  if (kind == "rmat") {
-    const auto scale = next_num(':');
-    const auto edges = next_num(':');
-    return graph::make_rmat(static_cast<int>(scale), edges, seed);
-  }
-  if (kind == "er") {
-    const auto n = next_num(':');
-    const auto m = next_num(':');
-    // Optional 4th field: er:N:M:0 skips the connecting spanning walk, so a
-    // sub-critical M leaves many components (a kInf-dominated store).
-    std::string tok;
-    const bool connect =
-        !std::getline(ss, tok, ':') || std::stoll(tok) != 0;
-    return graph::make_erdos_renyi(static_cast<vidx_t>(n), m, seed, connect);
-  }
+  // Every kind has two fields: road:RxC, mesh:N:DEG, rmat:SCALE:EDGES,
+  // er:N:M, dense:N:PCT.
+  const long long a = next_num(kind == "road" ? 'x' : ':');
+  const long long b = next_num(':');
+  const auto n = static_cast<vidx_t>(a);
+  if (kind == "road") return graph::make_road(n, static_cast<vidx_t>(b), seed);
+  if (kind == "mesh") return graph::make_mesh(n, static_cast<int>(b), seed);
+  if (kind == "rmat") return graph::make_rmat(static_cast<int>(a), b, seed);
   if (kind == "dense") {
-    const auto n = next_num(':');
-    const auto pct = next_num(':');
-    return graph::make_dense(static_cast<vidx_t>(n),
-                             static_cast<double>(pct), seed);
+    return graph::make_dense(n, static_cast<double>(b), seed);
   }
-  throw Error("unknown generator kind: " + kind);
-}
-
-core::Algorithm parse_algorithm(const std::string& name) {
-  if (name == "auto") return core::Algorithm::kAuto;
-  if (name == "fw") return core::Algorithm::kBlockedFloydWarshall;
-  if (name == "johnson") return core::Algorithm::kJohnson;
-  if (name == "boundary") return core::Algorithm::kBoundary;
-  throw Error("unknown --algorithm: " + name);
-}
-
-std::pair<vidx_t, vidx_t> parse_pair(const std::string& s) {
-  const auto comma = s.find(',');
-  GAPSP_CHECK(comma != std::string::npos, "expected U,V but got " + s);
-  return {static_cast<vidx_t>(std::stoll(s.substr(0, comma))),
-          static_cast<vidx_t>(std::stoll(s.substr(comma + 1)))};
+  // Optional 3rd er field: er:N:M:0 skips the connecting spanning walk, so a
+  // sub-critical M leaves many components (a kInf-dominated store).
+  std::string tok;
+  const bool connect = !std::getline(ss, tok, ':') ||
+                       parse_integer(tok, "--generate " + spec) != 0;
+  return graph::make_erdos_renyi(n, b, seed, connect);
 }
 
 std::string us(double seconds) {
@@ -299,17 +231,71 @@ std::string us(double seconds) {
   return os.str();
 }
 
+// ---- flag relations: one check per command, before any file or graph ----
+
+void check_repair_source(const Args& args) {
+  GAPSP_CHECK(args.text("repair") == "off" || args.has("generate") ||
+                  args.has("input"),
+              "--repair recompute re-derives tiles from the input graph: "
+              "pass the solve's --generate/--input (and --seed)");
+}
+
+void check_solve(const Args& args) {
+  // A checkpoint sidecar only records *progress*; the completed rounds live
+  // in the distance store. Across processes that store must be durable — a
+  // RAM store dies with the killed run, and resuming against a fresh one
+  // would silently continue from an uninitialized matrix.
+  const bool file_store = args.text("store") == "file";
+  const bool checkpoint = !args.text("checkpoint").empty();
+  GAPSP_CHECK(!checkpoint || file_store,
+              "--checkpoint/--resume need a durable store: add "
+              "--store file --store-path P (the file is kept across runs)");
+  GAPSP_CHECK(!args.has("resume") || checkpoint,
+              "--resume continues from a checkpoint sidecar: pass the "
+              "--checkpoint FILE the interrupted run wrote");
+  GAPSP_CHECK(!args.has("keep-store") || file_store,
+              "--keep-store keeps a file store: add --store file "
+              "--store-path P");
+  if (args.integer("devices") > 1) {
+    const std::string algorithm = args.text("algorithm");
+    GAPSP_CHECK(algorithm == "auto" || algorithm == "boundary",
+                "--devices N runs the multi-GPU boundary algorithm; it "
+                "contradicts --algorithm " + algorithm);
+    GAPSP_CHECK(!args.has("per-component"),
+                "--devices N runs one multi-GPU boundary solve; it "
+                "contradicts --per-component");
+  }
+}
+
+// Serving-topology contradictions are typed usage errors (exit 1), caught
+// before any store is opened.
+void check_query(const Args& args) {
+  const std::string route = args.text("route");
+  const bool routed = route != "none";
+  GAPSP_CHECK(!(args.has("shard") && routed),
+              "--shard serves a single slice; it contradicts --route " +
+                  route + " (the router already reaches every shard)");
+  GAPSP_CHECK(!args.has("kill-worker") || route == "process",
+              "--kill-worker kills a worker process; it needs --route "
+              "process");
+  GAPSP_CHECK(!(routed && args.text("repair") != "off"),
+              "--repair recompute cannot cross the worker boundary; serve "
+              "unrouted or repair offline with `apsp_cli scrub`");
+  GAPSP_CHECK(!(routed && args.number("fault-store-read") > 0.0),
+              "--fault-store-read injects into a single engine; chaos for "
+              "routed serving is --kill-worker");
+  GAPSP_CHECK(!args.has("no-verify-shard") || routed || args.has("shard"),
+              "--no-verify-shard only applies to shard serving (--shard or "
+              "--route)");
+  check_repair_source(args);
+}
+
 /// Builds the SSSP repair source for --repair recompute: the same graph the
 /// solve ran on, re-made from --generate/--input/--seed. Identity
 /// permutation only (fw/johnson solves); the kept graph outlives the fn via
 /// the shared_ptr capture.
 core::TileRepairFn make_repair_source(const Args& args) {
-  const std::string mode = args.get_or("repair", "off");
-  if (mode == "off") return {};
-  GAPSP_CHECK(mode == "recompute", "unknown --repair mode: " + mode);
-  GAPSP_CHECK(args.has("generate") || args.has("input"),
-              "--repair recompute re-derives tiles from the input graph: "
-              "pass the solve's --generate/--input (and --seed)");
+  if (args.text("repair") == "off") return {};
   auto g = std::make_shared<graph::CsrGraph>(make_graph(args));
   core::TileRepairFn fn = core::make_sssp_repair(*g);
   return [g, fn](vidx_t row0, vidx_t col0, vidx_t rows, vidx_t cols) {
@@ -317,14 +303,14 @@ core::TileRepairFn make_repair_source(const Args& args) {
   };
 }
 
+/// The engine flags query and serve share. --max-queue is the caller's:
+/// behind a router, the router is the one admission point.
 service::QueryEngineOptions engine_options_from_flags(const Args& args) {
   service::QueryEngineOptions qopt;
-  qopt.cache_bytes =
-      static_cast<std::size_t>(args.get_int_or("cache-mb", 64)) << 20;
-  qopt.cache_shards = static_cast<int>(args.get_int_or("shards", 8));
-  qopt.max_threads = static_cast<int>(args.get_int_or("threads", 0));
-  qopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
-  qopt.max_queue = static_cast<std::size_t>(args.get_int_or("max-queue", 0));
+  qopt.cache_bytes = static_cast<std::size_t>(args.integer("cache-mb")) << 20;
+  qopt.cache_shards = static_cast<int>(args.integer("shards"));
+  qopt.max_threads = static_cast<int>(args.integer("threads"));
+  qopt.retry.max_retries = static_cast<int>(args.integer("retries"));
   return qopt;
 }
 
@@ -336,27 +322,20 @@ struct ParsedQueries {
 ParsedQueries parse_queries(const Args& args) {
   ParsedQueries out;
   auto& queries = out.queries;
-  if (const auto p = args.get("point"); p.has_value()) {
-    std::istringstream ss(*p);
-    std::string item;
-    while (std::getline(ss, item, ';')) {
-      const auto [u, v] = parse_pair(item);
-      queries.push_back({service::QueryKind::kPoint, u, v});
-    }
-    out.inline_queries = queries.size();
+  std::istringstream points(args.text("point"));
+  for (std::string item; std::getline(points, item, ';');) {
+    const auto [u, v] = parse_vertex_pair(item);
+    queries.push_back({service::QueryKind::kPoint, u, v});
   }
-  if (const auto rws = args.get("row"); rws.has_value()) {
-    std::istringstream ss(*rws);
-    std::string item;
-    while (std::getline(ss, item, ';')) {
-      queries.push_back({service::QueryKind::kRow,
-                         static_cast<vidx_t>(std::stoll(item)), 0});
-    }
-    out.inline_queries = queries.size();
+  std::istringstream rows(args.text("row"));
+  for (std::string item; std::getline(rows, item, ';');) {
+    queries.push_back({service::QueryKind::kRow,
+                       static_cast<vidx_t>(parse_integer(item, "--row")), 0});
   }
-  if (const auto batch = args.get("batch"); batch.has_value()) {
-    std::ifstream in(*batch);
-    GAPSP_CHECK(in.good(), "cannot open batch file " + *batch);
+  out.inline_queries = queries.size();
+  if (const std::string batch = args.text("batch"); !batch.empty()) {
+    std::ifstream in(batch);
+    GAPSP_CHECK(in.good(), "cannot open batch file " + batch);
     std::string line;
     while (std::getline(in, line)) {
       const auto first = line.find_first_not_of(" \t");
@@ -370,14 +349,15 @@ ParsedQueries parse_queries(const Args& args) {
         queries.push_back(
             {service::QueryKind::kRow, static_cast<vidx_t>(u), 0});
       } else if (tok.find(',') != std::string::npos) {
-        const auto [u, v] = parse_pair(tok);
+        const auto [u, v] = parse_vertex_pair(tok);
         queries.push_back({service::QueryKind::kPoint, u, v});
       } else {
         long long v = 0;
         GAPSP_CHECK(static_cast<bool>(ls >> v), "bad batch line: " + line);
-        queries.push_back({service::QueryKind::kPoint,
-                           static_cast<vidx_t>(std::stoll(tok)),
-                           static_cast<vidx_t>(v)});
+        queries.push_back(
+            {service::QueryKind::kPoint,
+             static_cast<vidx_t>(parse_integer(tok, "batch line " + line)),
+             static_cast<vidx_t>(v)});
       }
     }
   }
@@ -386,21 +366,27 @@ ParsedQueries parse_queries(const Args& args) {
   return out;
 }
 
-void print_inline_results(const service::BatchReport& report,
-                          std::size_t inline_queries, vidx_t n) {
-  for (std::size_t i = 0; i < inline_queries; ++i) {
+/// Runs the queries --repeat times (cache counters accumulate across runs),
+/// then prints the last run's --point/--row results and its summary.
+template <class Server>
+int serve_batches(const Args& args, Server& server, const ParsedQueries& pq,
+                  vidx_t n) {
+  auto report = server.run_batch(pq.queries);
+  for (long long rep = 1; rep < args.integer("repeat"); ++rep) {
+    report = server.run_batch(pq.queries);
+  }
+  for (std::size_t i = 0; i < pq.inline_queries; ++i) {
     const auto& r = report.results[i];
-    if (r.status != service::QueryStatus::kOk) {
-      std::cout << (r.query.kind == service::QueryKind::kPoint
-                        ? "dist(" + std::to_string(r.query.u) + ", " +
-                              std::to_string(r.query.v) + ")"
-                        : "row " + std::to_string(r.query.u))
-                << " = <" << service::query_status_name(r.status) << ": "
-                << r.error << ">\n";
-      continue;
-    }
+    const bool ok = r.status == service::QueryStatus::kOk;
     if (r.query.kind == service::QueryKind::kPoint) {
       std::cout << "dist(" << r.query.u << ", " << r.query.v << ") = ";
+    } else {
+      std::cout << "row " << r.query.u << (ok ? ": " : " = ");
+    }
+    if (!ok) {
+      std::cout << "<" << service::query_status_name(r.status) << ": "
+                << r.error << ">\n";
+    } else if (r.query.kind == service::QueryKind::kPoint) {
       if (r.dist >= kInf) {
         std::cout << "unreachable\n";
       } else {
@@ -415,13 +401,10 @@ void print_inline_results(const service::BatchReport& report,
           far = std::max(far, d);
         }
       }
-      std::cout << "row " << r.query.u << ": " << reachable << "/" << n
-                << " reachable, eccentricity " << far << "\n";
+      std::cout << reachable << "/" << n << " reachable, eccentricity " << far
+                << "\n";
     }
   }
-}
-
-void print_batch_summary(const service::BatchReport& report) {
   const auto& cs = report.cache;
   std::cout << "batch: " << report.results.size() << " queries in "
             << report.wall_seconds * 1e3 << " ms ("
@@ -441,6 +424,8 @@ void print_batch_summary(const service::BatchReport& report) {
             << sv.transient_failures << " transient-failed, "
             << sv.corrupt_tiles << " corrupt, " << cs.quarantined_tiles
             << " quarantined\n";
+  // Degradation is visible but non-fatal: every query got a typed answer.
+  return 0;
 }
 
 core::ShardManifest require_manifest(const std::string& path) {
@@ -465,13 +450,14 @@ std::string self_exe_path() {
 /// answer them, and silently returning kInf would look like "unreachable".
 int run_query_shard_slice(const Args& args, const std::string& path) {
   const auto manifest = require_manifest(path);
-  const int k = static_cast<int>(args.get_int_or("shard", 0));
-  GAPSP_CHECK(k >= 0 && k < manifest.num_shards(),
+  const int k = static_cast<int>(args.integer("shard"));
+  GAPSP_CHECK(k < manifest.num_shards(),
               "--shard " + std::to_string(k) + " out of range [0, " +
                   std::to_string(manifest.num_shards()) + ")");
   const auto& range = manifest.shards[static_cast<std::size_t>(k)];
   const auto slice = core::open_shard_slice(path, manifest, k);
-  const auto qopt = engine_options_from_flags(args);
+  auto qopt = engine_options_from_flags(args);
+  qopt.max_queue = static_cast<std::size_t>(args.integer("max-queue"));
   const service::QueryEngine engine(*slice, qopt);
 
   std::cout << "store: " << path << " shard " << k << "/"
@@ -479,10 +465,8 @@ int run_query_shard_slice(const Args& args, const std::string& path) {
             << range.row_end << ") of n=" << manifest.n
             << ", GAPSPZ1 slice, tile " << manifest.tile << ")\n";
 
-  auto pq = parse_queries(args);
+  const auto pq = parse_queries(args);
   for (const auto& q : pq.queries) {
-    // Typed exit-1 path: a query this slice cannot own is a flag
-    // contradiction, not an "unreachable" answer.
     GAPSP_CHECK(
         q.u >= range.row_begin && q.u < range.row_end,
         (q.kind == service::QueryKind::kPoint ? "--point " : "--row ") +
@@ -491,15 +475,7 @@ int run_query_shard_slice(const Args& args, const std::string& path) {
             ", " + std::to_string(range.row_end) +
             "); drop --shard or use --route local/process");
   }
-
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = engine.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = engine.run_batch(pq.queries);
-  }
-  print_inline_results(report, pq.inline_queries, manifest.n);
-  print_batch_summary(report);
-  return 0;
+  return serve_batches(args, engine, pq, manifest.n);
 }
 
 /// `query --route local|process`: a ShardRouter over every shard, either
@@ -511,45 +487,41 @@ int run_query_routed(const Args& args, const std::string& path,
 
   // One logical cache budget, split across the shard engines like the
   // single-engine path would spend it (floor 1 MiB per shard).
-  const auto cache_mb =
-      std::max<long long>(1, args.get_int_or("cache-mb", 64));
+  const auto cache_mb = args.integer("cache-mb");
   const auto per_shard_mb = std::max<long long>(1, cache_mb / shards);
 
   service::ShardRouterOptions ropt;
-  ropt.max_queue = static_cast<std::size_t>(args.get_int_or("max-queue", 0));
+  ropt.max_queue = static_cast<std::size_t>(args.integer("max-queue"));
 
   int kill_shard = -1;
   long long kill_at = 0;
-  if (const auto kill = args.get("kill-worker"); kill.has_value()) {
-    const auto colon = kill->find(':');
-    GAPSP_CHECK(colon != std::string::npos,
-                "expected --kill-worker SHARD:NTHBATCH but got " + *kill);
-    kill_shard = static_cast<int>(std::stoll(kill->substr(0, colon)));
-    kill_at = std::stoll(kill->substr(colon + 1));
-    GAPSP_CHECK(kill_shard >= 0 && kill_shard < shards,
-                "--kill-worker shard " + std::to_string(kill_shard) +
+  if (args.has("kill-worker")) {
+    const auto [shard, at] = parse_pair(args.text("kill-worker"), ':',
+                                        "--kill-worker SHARD:NTHBATCH");
+    GAPSP_CHECK(shard >= 0 && shard < shards,
+                "--kill-worker shard " + std::to_string(shard) +
                     " out of range [0, " + std::to_string(shards) + ")");
-    GAPSP_CHECK(kill_at >= 1, "--kill-worker batch index must be >= 1");
+    GAPSP_CHECK(at >= 1, "--kill-worker batch index must be >= 1");
+    kill_shard = static_cast<int>(shard);
+    kill_at = at;
   }
 
   std::vector<std::unique_ptr<service::ShardBackend>> backends;
   if (route == "local") {
+    // The router sheds; its engines see bounded sub-batches.
     auto qopt = engine_options_from_flags(args);
-    qopt.cache_bytes =
-        static_cast<std::size_t>(per_shard_mb) << 20;
-    qopt.max_queue = 0;  // the router sheds; engines see bounded sub-batches
+    qopt.cache_bytes = static_cast<std::size_t>(per_shard_mb) << 20;
     backends = service::make_local_backends(path, manifest, qopt);
   } else {
     service::ProcessBackendOptions popt;
-    popt.retries = static_cast<int>(args.get_int_or("worker-retries", 1));
-    popt.timeout_ms =
-        static_cast<int>(args.get_int_or("worker-timeout-ms", 30000));
+    popt.retries = static_cast<int>(args.integer("worker-retries"));
+    popt.timeout_ms = static_cast<int>(args.integer("worker-timeout-ms"));
     const std::string exe = self_exe_path();
     for (int k = 0; k < shards; ++k) {
       std::vector<std::string> extra = {
           "--cache-mb", std::to_string(per_shard_mb),
-          "--shards", std::to_string(args.get_int_or("shards", 8)),
-          "--retries", std::to_string(args.get_int_or("retries", 3))};
+          "--shards", std::to_string(args.integer("shards")),
+          "--retries", std::to_string(args.integer("retries"))};
       if (args.has("no-verify-shard")) extra.push_back("--no-verify-shard");
       if (k == kill_shard) {
         extra.push_back("--exit-after");
@@ -567,63 +539,33 @@ int run_query_routed(const Args& args, const std::string& path,
             << "route: " << route << ", cache " << cache_mb
             << " MiB split as " << per_shard_mb << " MiB/shard";
   if (route == "process") {
-    std::cout << ", worker retries " << args.get_int_or("worker-retries", 1)
-              << ", timeout " << args.get_int_or("worker-timeout-ms", 30000)
-              << " ms";
+    std::cout << ", worker retries " << args.integer("worker-retries")
+              << ", timeout " << args.integer("worker-timeout-ms") << " ms";
   }
   if (ropt.max_queue > 0) std::cout << ", max-queue " << ropt.max_queue;
   if (kill_shard >= 0) {
     std::cout << ", killing worker " << kill_shard << " at batch " << kill_at;
   }
   std::cout << "\n";
-
-  auto pq = parse_queries(args);
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = router.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = router.run_batch(pq.queries);
-  }
-  print_inline_results(report, pq.inline_queries, manifest.n);
-  print_batch_summary(report);
-  return 0;
+  return serve_batches(args, router, parse_queries(args), manifest.n);
 }
 
 int run_query(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-
-  // Serving-topology flags first — contradictions are typed usage errors
-  // (exit 1), caught before any store is opened.
-  const std::string route = args.get_or("route", "none");
-  GAPSP_CHECK(route == "none" || route == "local" || route == "process",
-              "unknown --route: " + route + " (none | local | process)");
-  const bool routed = route != "none";
-  GAPSP_CHECK(!(args.has("shard") && routed),
-              "--shard serves a single slice; it contradicts --route " +
-                  route + " (the router already reaches every shard)");
-  GAPSP_CHECK(!args.has("kill-worker") || route == "process",
-              "--kill-worker kills a worker process; it needs --route "
-              "process");
-  GAPSP_CHECK(!(routed && args.get_or("repair", "off") != "off"),
-              "--repair recompute cannot cross the worker boundary; serve "
-              "unrouted or repair offline with `apsp_cli scrub`");
-  GAPSP_CHECK(!(routed && args.get_double_or("fault-store-read", 0.0) > 0.0),
-              "--fault-store-read injects into a single engine; chaos for "
-              "routed serving is --kill-worker");
-  GAPSP_CHECK(!args.has("no-verify-shard") || routed || args.has("shard"),
-              "--no-verify-shard only applies to shard serving (--shard or "
-              "--route)");
-
-  if (routed) return run_query_routed(args, path, route);
+  check_query(args);
+  const std::string path = args.text("store-path");
+  const std::string route = args.text("route");
+  if (route != "none") return run_query_routed(args, path, route);
   if (args.has("shard")) return run_query_shard_slice(args, path);
 
   const auto store = core::open_store(path);
 
   auto qopt = engine_options_from_flags(args);
+  qopt.max_queue = static_cast<std::size_t>(args.integer("max-queue"));
   qopt.repair = make_repair_source(args);
 
   sim::FaultPlan chaos;
-  chaos.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  chaos.p_store_read = args.get_double_or("fault-store-read", 0.0);
+  chaos.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  chaos.p_store_read = args.number("fault-store-read");
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) qopt.faults = &chaos_injector;
 
@@ -646,24 +588,14 @@ int run_query(const Args& args) {
     std::cout << ", injecting store-read faults p=" << chaos.p_store_read;
   }
   std::cout << "\n";
-
-  auto pq = parse_queries(args);
-  const auto repeat = std::max<long long>(1, args.get_int_or("repeat", 1));
-  auto report = engine.run_batch(pq.queries);
-  for (long long rep = 1; rep < repeat; ++rep) {
-    report = engine.run_batch(pq.queries);  // cache counters accumulate
-  }
-  print_inline_results(report, pq.inline_queries, store->n());
-  print_batch_summary(report);
-  // Degradation is visible but non-fatal: every query got a typed answer.
-  return 0;
+  return serve_batches(args, engine, parse_queries(args), store->n());
 }
 
 /// `apsp_cli shard`: slice a kept store into row-range shard files plus the
 /// GAPSPSH1 manifest, next to the store.
 int run_shard(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const int num = static_cast<int>(args.get_int_or("shards", 2));
+  const std::string path = args.text("store-path");
+  const int num = static_cast<int>(args.integer("shards"));
   core::ShardingStats stats;
   const auto m = core::shard_store_file(path, num, /*tile=*/0, &stats);
   std::cout << "sharded: " << path << " -> " << m.num_shards()
@@ -688,27 +620,27 @@ int run_serve(const Args& args) {
   GAPSP_CHECK(args.has("shard"),
               "serve needs --shard K — it serves exactly one shard slice "
               "behind the wire protocol (the router spawns one per shard)");
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const int shard = static_cast<int>(args.get_int_or("shard", 0));
+  const std::string path = args.text("store-path");
+  const int shard = static_cast<int>(args.integer("shard"));
   service::ShardWorkerOptions wopt;
   wopt.engine = engine_options_from_flags(args);
-  wopt.engine.max_queue = 0;  // the router is the single admission point
   wopt.verify_shard = !args.has("no-verify-shard");
-  wopt.exit_after = static_cast<int>(args.get_int_or("exit-after", 0));
+  wopt.exit_after = static_cast<int>(args.integer("exit-after"));
   return service::run_shard_worker(path, shard, wopt, STDIN_FILENO,
                                    STDOUT_FILENO);
 }
 
 int run_scrub(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
+  check_repair_source(args);
+  const std::string path = args.text("store-path");
   core::ScrubOptions sopt;
-  sopt.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
+  sopt.retry.max_retries = static_cast<int>(args.integer("retries"));
   sopt.repair_fn = make_repair_source(args);
   sopt.repair = static_cast<bool>(sopt.repair_fn);
 
   sim::FaultPlan chaos;
-  chaos.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  chaos.p_store_read = args.get_double_or("fault-store-read", 0.0);
+  chaos.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  chaos.p_store_read = args.number("fault-store-read");
   sim::FaultInjector chaos_injector(chaos);
   if (chaos.p_store_read > 0.0) sopt.faults = &chaos_injector;
 
@@ -732,9 +664,10 @@ int run_scrub(const Args& args) {
 }
 
 int run_compact(const Args& args) {
-  const std::string in = args.get_or("store-path", "apsp_dist.bin");
-  const std::string out = args.get_or("out", in);
-  const auto tile = static_cast<vidx_t>(args.get_int_or("block", 256));
+  const std::string in = args.text("store-path");
+  std::string out = args.text("out");
+  if (out.empty()) out = in;
+  const auto tile = static_cast<vidx_t>(args.integer("block"));
   const auto cs = core::compact_store(in, out, tile);
   std::cout << "compacted: " << in << " -> " << out << "\n"
             << "store compressed: " << (cs.raw_bytes >> 10) << " KiB -> "
@@ -777,14 +710,13 @@ void remove_shard_sidecars(const std::string& path) {
 /// sidecar that --resume continues bit-identically. Sidecars derived from
 /// the old bytes (.cal, .shards) are invalidated.
 int run_update(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
-  const auto upath = args.get("updates");
-  GAPSP_CHECK(upath.has_value(),
+  GAPSP_CHECK(args.has("updates"),
               "update needs --updates FILE (one `u v w` arc per line; w = "
               "inf/x/-1 deletes) plus the solve's --generate/--input/--seed");
+  const std::string path = args.text("store-path");
   auto pristine = core::open_store(path);
   const graph::CsrGraph g = make_graph(args);
-  const auto updates = core::read_edge_updates(*upath);
+  const auto updates = core::read_edge_updates(args.text("updates"));
   const vidx_t n = pristine->n();
   GAPSP_CHECK(
       n == g.num_vertices(),
@@ -793,12 +725,12 @@ int run_update(const Args& args) {
           " — pass the exact --generate/--input/--seed the solve used");
 
   core::IncrementalOptions opt;
-  opt.damage_threshold = args.get_double_or(
-      "update-threshold", core::IncrementalOptions{}.damage_threshold);
+  opt.damage_threshold = args.number("update-threshold");
   opt.tile = pristine->tile_size();
-  opt.checkpoint_path = args.get_or("checkpoint", path + ".updck");
+  opt.checkpoint_path = args.text("checkpoint");
+  if (opt.checkpoint_path.empty()) opt.checkpoint_path = path + ".updck";
   opt.resume = args.has("resume");
-  opt.checkpoint_every_tiles = args.get_int_or("checkpoint-every", 64);
+  opt.checkpoint_every_tiles = args.integer("checkpoint-every");
 
   // The repair lands in a raw sibling copy; the pristine store — which a
   // resumed run must re-read byte-identically — is replaced only by the
@@ -895,9 +827,9 @@ int run_update(const Args& args) {
             << out.modeled_full_seconds /
                    std::max(out.modeled_repair_seconds, 1e-12)
             << "x)\n";
-  if (const auto gpath = args.get("save-graph")) {
-    graph::write_matrix_market_file(engine.updated_graph(), *gpath);
-    std::cout << "graph: wrote updated graph to " << *gpath
+  if (const std::string gpath = args.text("save-graph"); !gpath.empty()) {
+    graph::write_matrix_market_file(engine.updated_graph(), gpath);
+    std::cout << "graph: wrote updated graph to " << gpath
               << " (solve it fresh via --input to cross-check the repair)\n";
   }
   return 0;
@@ -906,7 +838,7 @@ int run_update(const Args& args) {
 /// `apsp_cli info`: describe a kept store and the health of its sidecars
 /// without serving or mutating anything.
 int run_info(const Args& args) {
-  const std::string path = args.get_or("store-path", "apsp_dist.bin");
+  const std::string path = args.text("store-path");
   if (file_size_bytes(path) == 0) {
     throw IoError("no store at " + path);
   }
@@ -974,7 +906,8 @@ int run_info(const Args& args) {
   return 0;
 }
 
-int run(const Args& args) {
+int run_solve(const Args& args) {
+  check_solve(args);
   const graph::CsrGraph g = make_graph(args);
   std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << " density=" << g.density_percent() << "%\n";
@@ -992,91 +925,59 @@ int run(const Args& args) {
   }
 
   core::ApspOptions opts;
-  const std::string device = args.get_or("device", "v100");
-  if (device == "v100") {
-    opts.device = sim::DeviceSpec::v100_scaled(
-        static_cast<std::size_t>(args.get_int_or("memory-mb", 8)) << 20);
-  } else if (device == "k80") {
-    opts.device = sim::DeviceSpec::k80_scaled(
-        static_cast<std::size_t>(args.get_int_or("memory-mb", 6)) << 20);
-  } else {
-    throw Error("unknown --device: " + device);
+  opts.device = args.text("device") == "k80" ? sim::DeviceSpec::k80_scaled()
+                                             : sim::DeviceSpec::v100_scaled();
+  if (args.has("memory-mb")) {
+    opts.device = opts.device.with_memory(
+        static_cast<std::size_t>(args.integer("memory-mb")) << 20);
   }
-  opts.algorithm = parse_algorithm(args.get_or("algorithm", "auto"));
-  opts.num_components =
-      static_cast<int>(args.get_int_or("components", 0));
+  opts.algorithm = kAlgorithmOf[args.choice("algorithm")];
+  opts.num_components = static_cast<int>(args.integer("components"));
   opts.batch_transfers = !args.has("no-batching");
   opts.overlap_transfers = !args.has("no-overlap");
-  opts.transfer_compression = core::parse_transfer_compression(
-      args.get_or("transfer-compression", "auto"));
+  opts.transfer_compression =
+      core::parse_transfer_compression(args.text("transfer-compression"));
   opts.dynamic_parallelism = !args.has("no-dp");
-  opts.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  const std::string kernel = args.get_or("sssp-kernel", "near-far");
-  if (kernel == "near-far") {
-    opts.sssp_kernel = core::SsspKernel::kNearFar;
-  } else if (kernel == "delta-stepping") {
-    opts.sssp_kernel = core::SsspKernel::kDeltaStepping;
-  } else if (kernel == "bellman-ford") {
-    opts.sssp_kernel = core::SsspKernel::kBellmanFord;
-  } else {
-    throw Error("unknown --sssp-kernel: " + kernel);
-  }
-  const std::string partitioner = args.get_or("partitioner", "kway");
-  if (partitioner == "kway") {
-    opts.partition_method = part::Method::kMultilevelKway;
-  } else if (partitioner == "rb") {
-    opts.partition_method = part::Method::kRecursiveBisection;
-  } else {
-    throw Error("unknown --partitioner: " + partitioner);
-  }
+  opts.seed = static_cast<std::uint64_t>(args.integer("seed"));
+  opts.sssp_kernel = kSsspKernelOf[args.choice("sssp-kernel")];
+  opts.partition_method = kPartitionerOf[args.choice("partitioner")];
 
   sim::TraceRecorder trace;
   if (args.has("trace")) opts.trace = &trace;
 
   sim::FaultPlan faults;
-  faults.seed = static_cast<std::uint64_t>(args.get_int_or("fault-seed", 1));
-  faults.p_h2d = args.get_double_or("fault-h2d", 0.0);
-  faults.p_d2h = args.get_double_or("fault-d2h", 0.0);
-  faults.p_kernel = args.get_double_or("fault-kernel", 0.0);
-  faults.p_alloc = args.get_double_or("fault-alloc", 0.0);
-  faults.p_decode = args.get_double_or("fault-decode", 0.0);
-  if (const auto kill = args.get("kill-device"); kill.has_value()) {
-    const auto colon = kill->find(':');
-    GAPSP_CHECK(colon != std::string::npos,
-                "expected --kill-device D:NTHOP but got " + *kill);
-    faults.kill_device = static_cast<int>(std::stoll(kill->substr(0, colon)));
-    faults.kill_at_op = std::stoll(kill->substr(colon + 1));
+  faults.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  faults.p_h2d = args.number("fault-h2d");
+  faults.p_d2h = args.number("fault-d2h");
+  faults.p_kernel = args.number("fault-kernel");
+  faults.p_alloc = args.number("fault-alloc");
+  faults.p_decode = args.number("fault-decode");
+  if (args.has("kill-device")) {
+    const auto [device, op] =
+        parse_pair(args.text("kill-device"), ':', "--kill-device D:NTHOP");
+    faults.kill_device = static_cast<int>(device);
+    faults.kill_at_op = op;
   }
   const bool any_faults = faults.p_h2d > 0 || faults.p_d2h > 0 ||
                           faults.p_kernel > 0 || faults.p_alloc > 0 ||
                           faults.p_decode > 0 || faults.kill_device >= 0;
   if (any_faults) opts.faults = &faults;
-  opts.retry.max_retries = static_cast<int>(args.get_int_or("retries", 3));
+  opts.retry.max_retries = static_cast<int>(args.integer("retries"));
   opts.kernel_variant =
-      core::parse_kernel_variant(args.get_or("kernel-variant", "tensor"));
-  opts.kernel_threads =
-      static_cast<int>(args.get_int_or("kernel-threads", 0));
-  opts.checkpoint_path = args.get_or("checkpoint", "");
+      core::parse_kernel_variant(args.text("kernel-variant"));
+  opts.kernel_threads = static_cast<int>(args.integer("kernel-threads"));
+  opts.checkpoint_path = args.text("checkpoint");
   opts.resume = args.has("resume");
-  const double store_ratio = args.get_double_or("store-ratio", 1.0);
-  GAPSP_CHECK(store_ratio >= 1.0, "--store-ratio must be >= 1");
-  opts.store_bytes_per_element = sizeof(dist_t) / store_ratio;
+  opts.store_bytes_per_element =
+      sizeof(dist_t) / args.number("store-ratio");
 
   core::SelectorOptions sel;
-  sel.sparse_percent = args.get_double_or("sparse-threshold", 0.8);
-  sel.dense_percent = args.get_double_or("dense-threshold", 4.0);
+  sel.sparse_percent = args.number("sparse-threshold");
+  sel.dense_percent = args.number("dense-threshold");
 
-  // A checkpoint sidecar only records *progress*; the completed rounds live
-  // in the distance store. Across processes that store must be durable — a
-  // RAM store dies with the killed run, and resuming against a fresh one
-  // would silently continue from an uninitialized matrix.
-  GAPSP_CHECK(opts.checkpoint_path.empty() ||
-                  args.get_or("store", "ram") == "file",
-              "--checkpoint/--resume need a durable store: add "
-              "--store file --store-path P (the file is kept across runs)");
-  const std::string store_path = args.get_or("store-path", "apsp_dist.bin");
+  const std::string store_path = args.text("store-path");
   std::unique_ptr<core::DistStore> store;
-  if (args.get_or("store", "ram") == "file") {
+  if (args.text("store") == "file") {
     // With a checkpoint in play the store must survive both the interrupted
     // run (exception unwinds this unique_ptr) and the resume run.
     const bool keep = args.has("keep-store") || !opts.checkpoint_path.empty();
@@ -1093,9 +994,8 @@ int run(const Args& args) {
 
   core::SelectorReport report;
   core::ApspResult r;
-  const int devices = static_cast<int>(args.get_int_or("devices", 1));
+  const int devices = static_cast<int>(args.integer("devices"));
   if (devices > 1) {
-    // Multi-GPU path (boundary algorithm only).
     auto multi = core::ooc_boundary_multi(g, opts, devices, *store);
     std::cout << "multi-GPU boundary: " << devices << " devices, makespan "
               << multi.result.metrics.sim_seconds * 1e3 << " ms\n";
@@ -1191,11 +1091,11 @@ int run(const Args& args) {
               << " completed units\n";
   }
 
-  if (const auto q = args.get("query"); q.has_value()) {
-    std::istringstream qs(*q);
+  if (args.has("query")) {
+    std::istringstream qs(args.text("query"));
     std::string item;
     while (std::getline(qs, item, ';')) {
-      const auto [u, v] = parse_pair(item);
+      const auto [u, v] = parse_vertex_pair(item);
       const dist_t d = store->at(r.stored_id(u), r.stored_id(v));
       std::cout << "dist(" << u << ", " << v << ") = ";
       if (d >= kInf) {
@@ -1205,8 +1105,8 @@ int run(const Args& args) {
       }
     }
   }
-  if (const auto p = args.get("path"); p.has_value()) {
-    const auto [u, v] = parse_pair(*p);
+  if (args.has("path")) {
+    const auto [u, v] = parse_vertex_pair(args.text("path"));
     const core::PathExtractor extractor(g, *store, r);
     const auto path = extractor.path(u, v);
     std::cout << "path(" << u << " -> " << v << "): ";
@@ -1229,13 +1129,13 @@ int run(const Args& args) {
       return 3;
     }
   }
-  if (const auto save = args.get("save"); save.has_value()) {
-    core::save_distances(*store, r, *save);
+  if (const std::string save = args.text("save"); !save.empty()) {
+    core::save_distances(*store, r, save);
     const double mib = static_cast<double>(g.num_vertices()) *
                        g.num_vertices() * sizeof(dist_t) / (1 << 20);
-    std::cout << "distances: " << mib << " MiB -> " << *save << "\n";
+    std::cout << "distances: " << mib << " MiB -> " << save << "\n";
   }
-  if (args.has("keep-store") && args.get_or("store", "ram") == "file") {
+  if (args.has("keep-store")) {
     if (core::save_calibration(opts, store_path + ".cal")) {
       std::cout << "calibration: saved " << store_path << ".cal\n";
     }
@@ -1258,12 +1158,12 @@ int run(const Args& args) {
     std::cout << "store kept: " << store_path
               << " (serve it with: apsp_cli query --store-path ...)\n";
   }
-  if (const auto tpath = args.get("trace"); tpath.has_value()) {
-    std::ofstream out(*tpath);
-    GAPSP_CHECK(out.good(), "cannot open " + *tpath);
+  if (const std::string tpath = args.text("trace"); !tpath.empty()) {
+    std::ofstream out(tpath);
+    GAPSP_CHECK(out.good(), "cannot open " + tpath);
     trace.write_chrome_trace(out);
     std::cout << "timeline: " << trace.events().size() << " events -> "
-              << *tpath << "\n";
+              << tpath << "\n";
   }
   return 0;
 }
@@ -1271,109 +1171,29 @@ int run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const std::pair<const Command*, int (*)(const Args&)> kCommands[] = {
+      {&kSolveCommand, run_solve}, {&kQueryCommand, run_query},
+      {&kShardCommand, run_shard}, {&kServeCommand, run_serve},
+      {&kScrubCommand, run_scrub}, {&kUpdateCommand, run_update},
+      {&kInfoCommand, run_info},   {&kCompactCommand, run_compact}};
+  const auto* cmd = std::begin(kCommands);  // the solve, unless one is named
+  const bool named = argc > 1 && std::string_view(argv[1]).rfind("--", 0) != 0;
   try {
-    const Args args(argc, argv);
-    if (!args.positional().empty() && args.positional().front() == "query") {
-      const auto unknown = args.unknown(
-          {"store-path", "point", "row", "batch", "cache-mb", "shards",
-           "threads", "repeat", "retries", "max-queue", "repair",
-           "generate", "input", "seed",
-           "fault-store-read", "fault-seed", "route", "shard",
-           "no-verify-shard", "worker-retries", "worker-timeout-ms",
-           "kill-worker"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown query flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
+    if (named) {
+      cmd = std::find_if(cmd + 1, std::end(kCommands), [&](const auto& c) {
+        return c.first->name == argv[1];
+      });
+      if (cmd == std::end(kCommands)) {
+        cmd = std::begin(kCommands);
+        throw UsageError(std::string("unknown subcommand '") + argv[1] + "'");
       }
-      return run_query(args);
     }
-    if (!args.positional().empty() && args.positional().front() == "shard") {
-      const auto unknown = args.unknown({"store-path", "shards"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown shard flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_shard(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "serve") {
-      const auto unknown = args.unknown(
-          {"store-path", "shard", "cache-mb", "shards", "threads", "retries",
-           "no-verify-shard", "exit-after"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown serve flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_serve(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "scrub") {
-      const auto unknown = args.unknown(
-          {"store-path", "repair", "generate", "input", "seed", "retries",
-           "fault-store-read", "fault-seed"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown scrub flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_scrub(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "update") {
-      const auto unknown = args.unknown(
-          {"store-path", "updates", "update-threshold", "checkpoint",
-           "checkpoint-every", "resume", "generate", "input", "seed",
-           "save-graph"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown update flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_update(args);
-    }
-    if (!args.positional().empty() && args.positional().front() == "info") {
-      const auto unknown = args.unknown({"store-path"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown info flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_info(args);
-    }
-    if (!args.positional().empty() &&
-        args.positional().front() == "compact") {
-      const auto unknown = args.unknown({"store-path", "out", "block"});
-      if (!unknown.empty()) {
-        std::cerr << "unknown compact flag(s):";
-        for (const auto& f : unknown) std::cerr << " --" << f;
-        std::cerr << "\n";
-        return 2;
-      }
-      return run_compact(args);
-    }
-    const auto unknown = args.unknown(
-        {"input", "generate", "seed", "algorithm", "device", "memory-mb",
-         "components", "no-batching", "no-overlap", "no-dp",
-         "sparse-threshold", "dense-threshold", "store", "store-path",
-         "keep-store", "store-ratio", "query", "path",
-         "trace", "stats", "sssp-kernel", "partitioner", "devices",
-         "per-component", "save", "verify", "fault-seed", "fault-h2d",
-         "fault-d2h", "fault-kernel", "fault-alloc", "fault-decode",
-         "kill-device", "retries", "checkpoint", "resume", "kernel-variant",
-         "kernel-threads", "transfer-compression"});
-    if (!unknown.empty()) {
-      std::cerr << "unknown flag(s):";
-      for (const auto& f : unknown) std::cerr << " --" << f;
-      std::cerr << "\n";
-      return 2;
-    }
-    return run(args);
+    const Args args(*cmd->first, argc, argv, named ? 2 : 1);
+    return cmd->second(args);
+  } catch (const gapsp::UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n"
+              << usage("apsp_cli", *cmd->first);
+    return 2;
   } catch (const gapsp::CorruptError& e) {
     // Data failed an integrity check — retrying is useless; scrub instead.
     std::cerr << "corrupt store: " << e.what()
